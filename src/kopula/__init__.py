@@ -3,9 +3,8 @@
 Construct, transform, validate, and export the two equivalent tables
 of a finite random event set: exact-pattern probabilities and joint
 intersection probabilities.  Families of closed-form constructions,
-the recursive frame composition, and correlation-coordinate
-parametrization live in the submodules; everything user-facing is
-re-exported here.
+the frame method, and correlation-coordinate parametrization live in
+the submodules; everything user-facing is re-exported here.
 """
 
 from .core import (

@@ -17,6 +17,7 @@ Configs are single JSON documents; see the README for the schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from itertools import product
@@ -45,6 +46,7 @@ from .oracles import (
     naive_marginals,
     naive_renumber,
     product_epd1,
+    recursive_frame_epd1,
 )
 from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, sample_summary
@@ -341,7 +343,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         d = build_nset_epd(p, FrameParams.independence(q))
         ref = product_epd1(ctx, probs)
         diff = max(diff, float(np.max(np.abs(d.values - ref.values))))
-    track("recursive composition (independence) vs product formula", diff)
+    track("frame build (independence) vs product formula", diff)
+
+    diff = 0.0
+    for _ in range(trials):
+        v = rng.random(size)
+        d1 = Epd1(ctx, v / v.sum())
+        p = marginals(d1)
+        proj = half_rare_projection(p)
+        unsort = proj.unsort_masks()
+        t = Epd2(ctx, epd2_from_epd1(renumber_epd1(d1, proj.keep)).values[unsort])
+        fast = build_nset_epd(p, FrameParams.from_epd2(t))
+        ref = recursive_frame_epd1(t).values
+        back = renumber_epd1(fast, proj.keep).values[unsort]
+        diff = max(diff, float(np.max(np.abs(back - ref))))
+        diff = max(diff, float(np.max(np.abs(fast.values - d1.values))))
+    track("frame build: Möbius vs recursive reference", diff)
 
     lines = [f"oracle cross-checks: n = {n}, trials = {trials}, seed = {args.seed}"]
     for name, value in checks:
@@ -357,6 +374,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kopula", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,9 +434,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except _CliFailure as failure:
         print(failure.message, file=sys.stderr)

@@ -18,8 +18,8 @@ The two are a Mobius pair over the superset order:
     second[X] = sum over Y >= X of first[Y]
     first[X]  = sum over Y >= X of (-1)**|Y - X| * second[Y]
 
-Both directions run in O(N * 2**N) with an in-place butterfly over the
-axes of the (2,)*N tensor view; a brute-force O(4**N) reference lives
+Both directions run in O(N * 2**N) with an in-place butterfly, one
+strided pass per event; a brute-force O(4**N) reference lives
 in ``kopula.oracles``.
 
 Conventions used across the package:
@@ -37,7 +37,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -161,10 +162,15 @@ class EventSetContext:
     def full_mask(self) -> int:
         return (1 << self.n_events) - 1
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        # not a field, so it stays out of eq, hash and repr
+        return {lab: k for k, lab in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except (KeyError, TypeError):
             raise ContextError(f"unknown event label {label!r}") from None
 
     def mask_label(self, mask: int) -> str:
@@ -343,24 +349,23 @@ def clean_negative_dust(raw: np.ndarray, context: EventSetContext, where: str) -
 # Mobius pair over the superset order
 
 
+def _superset_butterfly(values: np.ndarray, n_events: int, op) -> np.ndarray:
+    """For each event k, from the highest: cells without k  op=  cells with k."""
+    t = values.astype(np.float64, copy=True).reshape(-1)
+    for k in reversed(range(n_events)):
+        half = t.reshape(-1, 2, 1 << k)
+        op(half[:, 0], half[:, 1], out=half[:, 0])
+    return t
+
+
 def _superset_zeta(values: np.ndarray, n_events: int) -> np.ndarray:
     """out[X] = sum over supersets Y of X of values[Y], via axis butterflies."""
-    t = values.astype(np.float64, copy=True).reshape((2,) * n_events)
-    for axis in range(n_events):
-        lo = tuple(0 if a == axis else slice(None) for a in range(n_events))
-        hi = tuple(1 if a == axis else slice(None) for a in range(n_events))
-        t[lo] += t[hi]
-    return t.reshape(-1)
+    return _superset_butterfly(values, n_events, np.add)
 
 
 def _superset_mobius(values: np.ndarray, n_events: int) -> np.ndarray:
     """Inverse of ``_superset_zeta`` (alternating-sign superset sums)."""
-    t = values.astype(np.float64, copy=True).reshape((2,) * n_events)
-    for axis in range(n_events):
-        lo = tuple(0 if a == axis else slice(None) for a in range(n_events))
-        hi = tuple(1 if a == axis else slice(None) for a in range(n_events))
-        t[lo] -= t[hi]
-    return t.reshape(-1)
+    return _superset_butterfly(values, n_events, np.subtract)
 
 
 def epd2_from_epd1(d: Epd1) -> Epd2:

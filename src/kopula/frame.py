@@ -13,16 +13,22 @@ and intersections are plain unconditional probabilities:
 
 So a full table over n events is determined by the per-event
 probabilities plus one intersection probability per subset of size >= 2,
-applied recursively.  ``build_nset_epd`` runs this end to end for an
-arbitrary marginal point; ``triplet_epd`` and ``quadruplet_epd`` are the
-closed forms for ordered half-rare triples and quadruples.
+applied recursively.  The table the recursion reaches is the unique one
+whose intersections are the given ones: the superset Möbius inverse of
+the completed intersection table.  ``build_nset_epd`` (any marginal
+point), ``triplet_epd`` and ``quadruplet_epd`` (ordered half-rare
+triples and quadruples) compute it that way; the recursion itself is
+kept as the reference ``oracles.recursive_frame_epd1``.
 
 Feasibility of the intersection table is a chain of interval
 constraints: given its facet values, each intersection must lie inside
-a closed interval (``frechet_bounds``).  Table validation walks those
-intervals in ascending subset size for the top-level frame split;
-anything infeasible deeper down surfaces as a negative cell in the
-final table and is rejected there.
+a closed interval (``frechet_bounds``).  A walk of those intervals for
+the top-level frame split, in ascending subset size, runs under the
+"clamp" policy, and under "raise" when the inverse has a negative cell,
+so that the error names the first offending interval.  Every slack the
+walk checks is a nonnegative combination of cells, so a table without a
+negative cell passes it.  Anything infeasible deeper down surfaces as a
+negative cell in the final table and is rejected there.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from .core import (
     MarginalSet,
     ParameterRangeError,
     VALUE_ATOL,
+    _superset_mobius,
+    mask_bits,
     validate_epd1,
 )
 from .phenomena import half_rare_projection, renumber_epd1
@@ -395,118 +403,137 @@ class FrameParams:
         """Dense intersection array: 1 at the empty set, marginals, parameters.
 
         Every subset of size >= 2 must be present; a missing one is a
-        dependency error, since each recursion level consumes them all.
+        dependency error, since the Möbius inverse reads them all.
         """
         n = self.n_events
         if len(probs) != n:
             raise ParameterRangeError(f"expected {n} marginals, got {len(probs)}")
-        t = np.empty(1 << n)
+        count = len(self.intersections)
+        singles = 1 << np.arange(n)
+        t = np.full(1 << n, np.nan)
         t[0] = 1.0
-        for k in range(n):
-            t[1 << k] = float(probs[k])
-        for mask in range(1 << n):
-            if bin(mask).count("1") >= 2:
-                if mask not in self.intersections:
-                    raise DependencyError(
-                        f"no intersection value supplied for subset mask {mask:#b}"
-                    )
-                t[mask] = self.intersections[mask]
+        t[singles] = 0.0
+        t[np.fromiter(self.intersections, np.int64, count)] = np.fromiter(
+            self.intersections.values(), np.float64, count
+        )
+        missing = np.flatnonzero(np.isnan(t))
+        if missing.size:
+            raise DependencyError(
+                f"no intersection value supplied for subset mask {int(missing[0]):#b}"
+            )
+        t[singles] = probs
         return t
 
 
 # ---------------------------------------------------------------------------
-# feasibility walk and the recursive composition
+# the interval walk and the Möbius build
 
 
-def _fit_value(value: float, iv: FrechetInterval, what: str, policy: str) -> float:
-    if iv.lower <= value <= iv.upper:
-        return value
-    if iv.contains(value) or policy == "clamp":
+def _fit(value, lower, upper, policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp values into their windows and flag the ones that must raise.
+
+    As in ``FrechetInterval``, an inversion within 1e-9 collapses to its
+    midpoint and a larger one is empty.  Empty windows always fail;
+    under "raise" so does a value more than 1e-9 outside its window.
+    """
+    inverted, mid = lower > upper, 0.5 * (lower + upper)
+    lo, up = np.where(inverted, mid, lower), np.where(inverted, mid, upper)
+    fail = lower - upper > 1e-9
+    if policy == "raise":
+        fail |= (value < lo - VALUE_ATOL) | (value > up + VALUE_ATOL)
+    return np.minimum(np.maximum(value, lo), up), fail
+
+
+def _interval_name(side: str, s: int) -> str:
+    bits = tuple(mask_bits(s))
+    if side == "pair":
+        return f"pair intersection of ordered events (0, {bits[0]})"
+    if side == "in":
+        return f"frame-side intersection of ordered events {(0,) + bits}"
+    return f"off-frame intersection of ordered events {bits}"
+
+
+def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
+    """Walk the top-level frame split of a dense intersection table.
+
+    Event 0 is the frame.  Each subset s of the other events carries a
+    frame-side value t[s | 1] and, from size two up, an off-frame value
+    t[s] - t[s | 1], each with its ``frechet_bounds`` window.  A window
+    reads only values one size down, so each size is one numpy pass, in
+    ascending order; values are clamped in place.  An empty window, or
+    under "raise" a value beyond 1e-9 outside its window, raises for the
+    first offender in (size, mask) order, as ``oracles.naive_interval_walk``
+    does; the clamps are summed up in one RuntimeWarning.
+    """
+    n = t.shape[0].bit_length() - 1
+    p0 = float(t[1])
+    rest = np.arange(0, t.shape[0], 2)
+    level = sum((rest >> b) & 1 for b in range(1, n))
+    count, worst = 0, None
+    for k in range(1, n):
+        s = rest[level == k]
+        if k == 1:
+            windows = [("pair", np.maximum(0.0, p0 + t[s] - 1.0), np.minimum(p0, t[s]))]
+        else:
+            windows = []
+            for side, mass in (("in", p0), ("out", 1.0 - p0)):
+                total, upper = np.zeros(s.size), np.full(s.size, np.inf)
+                for b in range(1, n):
+                    has, sub = ((s >> b) & 1).astype(bool), s & ~(1 << b)
+                    facet = t[sub | 1] if side == "in" else t[sub] - t[sub | 1]
+                    total += np.where(has, facet, 0.0)
+                    upper = np.where(has, np.minimum(upper, facet), upper)
+                windows.append((side, np.maximum(0.0, total - (k - 1) * mass), upper))
+        checks = []  # (side, value, fitted, fail, lower, upper)
+        for side, lower, upper in windows:
+            value = t[s] - checks[0][2] if side == "out" else t[s | 1]
+            checks.append((side, value, *_fit(value, lower, upper, policy), lower, upper))
+        fail = np.logical_or.reduce([c[3] for c in checks])
+        if fail.any():
+            i = int(np.argmax(fail))
+            side, value, _, _, lower, upper = next(c for c in checks if c[3][i])
+            iv = FrechetInterval(float(lower[i]), float(upper[i]))  # raises if empty
+            raise InfeasibleParameterError(
+                f"{_interval_name(side, int(s[i]))} = {float(value[i])!r} outside "
+                f"the admissible interval [{iv.lower!r}, {iv.upper!r}]"
+            )
+        for side, value, fitted, _, lower, upper in checks:
+            gap = np.abs(fitted - value)
+            j = int(np.argmax(gap))
+            count += int(np.count_nonzero(gap))
+            if gap[j] > (worst[0] if worst else 0.0):
+                worst = (gap[j], side, int(s[j]), float(value[j]), lower[j], upper[j])
+        t[s | 1] = checks[0][2]
+        if k > 1:
+            t[s] = checks[1][2] + checks[0][2]
+    if worst:
+        gap, side, s, value, lower, upper = worst
+        iv = FrechetInterval(float(lower), float(upper))
         warnings.warn(
-            f"{what} = {value!r} clamped into [{iv.lower!r}, {iv.upper!r}]",
+            f"{who}: {count} intersection value(s) clamped into their windows; "
+            f"the largest move ({gap:.3e}): {_interval_name(side, s)} = {value!r} "
+            f"clamped into [{iv.lower!r}, {iv.upper!r}]",
             RuntimeWarning,
             stacklevel=4,
         )
-        return iv.clamp(value)
-    raise InfeasibleParameterError(
-        f"{what} = {value!r} outside the admissible interval "
-        f"[{iv.lower!r}, {iv.upper!r}]"
-    )
 
 
-def _validate_table(t: np.ndarray, policy: str) -> None:
-    """Walk the top-level frame split of a dense intersection table.
+def _first_kind(t: np.ndarray, policy: str, who: str) -> np.ndarray:
+    """The table whose intersections are ``t``: its superset Möbius inverse.
 
-    Event 0 is the frame.  Values are checked (and possibly clamped in
-    place) in ascending subset size, so every interval is built from
-    already-vetted facets.  Only this split is walked; an infeasibility
-    that hides deeper down the recursion surfaces later as a negative
-    cell of the finished table.
+    The interval walk runs only where it can change the outcome: under
+    "clamp", or when a cell is negative.  Every window slack it checks
+    is a nonnegative combination of these cells, so on a table without
+    a negative cell it could neither raise nor clamp beyond float dust.
     """
     if policy not in ("raise", "clamp"):
         raise ParameterRangeError(f"policy must be 'raise' or 'clamp', got {policy!r}")
-    size = t.shape[0]
-    n = size.bit_length() - 1
-    p0 = float(t[1])
-    rest = [k for k in range(1, n)]
-    for k in rest:
-        iv = frechet_bounds({}, 1 << k, float(t[1 << k]), p0)
-        name = f"pair intersection of ordered events (0, {k})"
-        t[(1 << k) | 1] = _fit_value(float(t[(1 << k) | 1]), iv, name, policy)
-    higher = sorted(
-        (
-            mask
-            for mask in range(size)
-            if not mask & 1 and bin(mask).count("1") >= 2
-        ),
-        key=lambda m: (bin(m).count("1"), m),
-    )
-    for s in higher:
-        bits = tuple(b for b in range(n) if s & (1 << b))
-        known_in = {s & ~(1 << b): float(t[(s & ~(1 << b)) | 1]) for b in bits}
-        iv_in = frechet_bounds(known_in, s, None, p0)
-        name_in = f"frame-side intersection of ordered events {(0,) + bits}"
-        v_in = _fit_value(float(t[s | 1]), iv_in, name_in, policy)
-        t[s | 1] = v_in
-        known_out = {
-            s & ~(1 << b): float(t[s & ~(1 << b)]) - float(t[(s & ~(1 << b)) | 1])
-            for b in bits
-        }
-        iv_out = frechet_bounds(known_out, s, None, 1.0 - p0)
-        name_out = f"off-frame intersection of ordered events {bits}"
-        v_out = _fit_value(float(t[s]) - v_in, iv_out, name_out, policy)
-        t[s] = v_out + v_in
-
-
-def _compose(t: np.ndarray) -> np.ndarray:
-    """Exact-pattern table from a dense intersection table, recursively.
-
-    At each level the largest-marginal event (lowest index on ties)
-    frames the split; both slices are completed as distributions of
-    their own, re-sliced, and interleaved back.
-    """
-    size = t.shape[0]
-    if size == 2:
-        return np.array([1.0 - t[1], t[1]])
-    n = size.bit_length() - 1
-    marg = t[1 << np.arange(n)]
-    f = int(np.argmax(marg))
-    p0 = float(marg[f])
-    sub = np.arange(size >> 1)
-    full = _insert_bit(sub, f)
-    bit = 1 << f
-    t_in = t[full | bit].copy()
-    t_out = t[full] - t_in
-    t_in[0] = 1.0
-    t_out[0] = 1.0
-    q_in = _compose(t_in)
-    q_out = _compose(t_out)
-    q_in[0] -= 1.0 - p0
-    q_out[0] -= p0
-    out = np.empty(size)
-    out[full | bit] = q_in
-    out[full] = q_out
-    return out
+    n = t.shape[0].bit_length() - 1
+    cells = _superset_mobius(t, n)
+    if policy == "clamp" or cells.min() < 0.0:
+        _walk_intervals(t, policy, who)
+        cells = _superset_mobius(t, n)
+    return cells
 
 
 def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> np.ndarray:
@@ -525,67 +552,27 @@ def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> np.ndarray:
 
 
 def triplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
-    """Closed-form three-event table for ordered half-rare marginals.
+    """Three-event table for ordered half-rare marginals.
 
-    Bits are x = 0, y = 1, z = 2 with p_x >= p_y >= p_z.  The eight
-    cells are inclusion-exclusion sums of the four parameters; the
-    parameters are vetted against their intervals first.
+    Bits are x = 0, y = 1, z = 2 with p_x >= p_y >= p_z; the eight
+    cells are the Möbius inverse of the four parameters and the
+    marginals.  ``policy`` is as for ``build_nset_epd``.
     """
-    probs = _require_ordered_half_rare(p, 3, "triplet_epd")
-    t = params.complete_table(probs)
-    _validate_table(t, policy)
-    px, py, pz = (float(v) for v in probs)
-    a1, a2 = float(t[0b011]), float(t[0b101])
-    t_in = float(t[0b111])
-    t_out = float(t[0b110]) - t_in
-    out = np.empty(8)
-    out[0b111] = t_in
-    out[0b011] = a1 - t_in
-    out[0b101] = a2 - t_in
-    out[0b001] = px - a1 - a2 + t_in
-    out[0b110] = t_out
-    out[0b010] = py - a1 - t_out
-    out[0b100] = pz - a2 - t_out
-    out[0b000] = 1.0 - px - py - pz + a1 + a2 + t_out
-    return _finish_table(out, p.context, "triplet_epd")
+    t = params.complete_table(_require_ordered_half_rare(p, 3, "triplet_epd"))
+    cells = _first_kind(t, policy, "triplet_epd")
+    return _finish_table(cells, p.context, "triplet_epd")
 
 
 def quadruplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
-    """Closed-form four-event table for ordered half-rare marginals.
+    """Four-event table for ordered half-rare marginals.
 
-    Bits are x = 0, y = 1, z = 2, v = 3 with nonincreasing marginals.
-    Eleven intersection parameters feed two inclusion-exclusion
-    half-tables, one per frame cell of x.
+    Bits are x = 0, y = 1, z = 2, v = 3 with nonincreasing marginals;
+    the sixteen cells are the Möbius inverse of the eleven parameters
+    and the marginals.  ``policy`` is as for ``build_nset_epd``.
     """
-    probs = _require_ordered_half_rare(p, 4, "quadruplet_epd")
-    t = params.complete_table(probs)
-    _validate_table(t, policy)
-    px, py, pz, pv = (float(v) for v in probs)
-    a1, a2, a3 = float(t[0b0011]), float(t[0b0101]), float(t[0b1001])
-    b12, b13, b23 = float(t[0b0111]), float(t[0b1011]), float(t[0b1101])
-    c = float(t[0b1111])
-    d12 = float(t[0b0110]) - b12
-    d13 = float(t[0b1010]) - b13
-    d23 = float(t[0b1100]) - b23
-    e = float(t[0b1110]) - c
-    out = np.empty(16)
-    out[0b1111] = c
-    out[0b0111] = b12 - c
-    out[0b1011] = b13 - c
-    out[0b1101] = b23 - c
-    out[0b0011] = a1 - b12 - b13 + c
-    out[0b0101] = a2 - b12 - b23 + c
-    out[0b1001] = a3 - b13 - b23 + c
-    out[0b0001] = px - a1 - a2 - a3 + b12 + b13 + b23 - c
-    out[0b1110] = e
-    out[0b0110] = d12 - e
-    out[0b1010] = d13 - e
-    out[0b1100] = d23 - e
-    out[0b0010] = (py - a1) - d12 - d13 + e
-    out[0b0100] = (pz - a2) - d12 - d23 + e
-    out[0b1000] = (pv - a3) - d13 - d23 + e
-    out[0b0000] = 1.0 - px - py - pz - pv + a1 + a2 + a3 + d12 + d13 + d23 - e
-    return _finish_table(out, p.context, "quadruplet_epd")
+    t = params.complete_table(_require_ordered_half_rare(p, 4, "quadruplet_epd"))
+    cells = _first_kind(t, policy, "quadruplet_epd")
+    return _finish_table(cells, p.context, "quadruplet_epd")
 
 
 def _finish_table(raw: np.ndarray, ctx: EventSetContext, who: str) -> Epd1:
@@ -618,12 +605,13 @@ def build_nset_epd(
     The point is first folded to its half-rare image and the events
     sorted by decreasing folded probability; ``params`` is keyed by
     subsets IN THAT ordering (event 0 = largest folded marginal).  The
-    recursive frame composition runs on the sorted table, and the
-    result is mapped back through the sort and the folding.
+    sorted table is the Möbius inverse of the completed intersection
+    table, mapped back through the sort and the folding.
 
-    policy applies to the top-level interval walk: "raise" rejects
+    policy applies to the top-level interval walk, which runs under
+    "clamp" and on a table with a negative cell: "raise" rejects
     anything beyond 1e-9 outside its interval, "clamp" pulls every
-    value in (with a warning).
+    value in (with one warning that counts them).
     """
     ctx = p.context
     n = ctx.n_events
@@ -633,16 +621,9 @@ def build_nset_epd(
         )
     proj = half_rare_projection(p)
     q = [proj.point.probs[k] for k in proj.permutation]
-    t = params.complete_table(q)
-    _validate_table(t, policy)
-    e_sorted = _compose(t)
-    # undo the sort: sorted bit j belongs to projected event permutation[j]
-    masks = np.arange(ctx.size)
-    target = np.zeros(ctx.size, dtype=np.int64)
-    for j, orig in enumerate(proj.permutation):
-        target |= ((masks >> j) & 1) << orig
+    e_sorted = _first_kind(params.complete_table(q), policy, "build_nset_epd")
     e_proj = np.empty(ctx.size)
-    e_proj[target] = e_sorted[masks]
+    e_proj[proj.unsort_masks()] = e_sorted
     folded = Epd1(ctx, e_proj)
     unfolded = renumber_epd1(folded, proj.keep)
     return _finish_table(np.array(unfolded.values), ctx, "build_nset_epd")

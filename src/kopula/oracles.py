@@ -1,16 +1,19 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately slow and obvious: plain double loops
-over subset pairs, no tensor tricks.  The fast paths in ``core`` and
-``phenomena`` are tested against these on small N, and the ``oracle``
-CLI subcommand cross-checks them at runtime.
+over subset pairs, no tensor tricks.  The fast paths in ``core``,
+``phenomena`` and ``frame`` are tested against these on small N, and
+the ``oracle`` CLI subcommand cross-checks them at runtime.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .core import Epd1, Epd2, EventSetContext, MarginalSet
+from .core import Epd1, Epd2, EventSetContext, InfeasibleParameterError, MarginalSet
+from .frame import FrechetInterval, frechet_bounds
 
 __all__ = [
     "naive_epd2_from_epd1",
@@ -18,6 +21,8 @@ __all__ = [
     "naive_marginals",
     "naive_renumber",
     "product_epd1",
+    "recursive_frame_epd1",
+    "naive_interval_walk",
 ]
 
 
@@ -89,3 +94,94 @@ def product_epd1(context: EventSetContext, probs) -> Epd1:
             v *= p if mask & (1 << k) else 1.0 - p
         out[mask] = v
     return Epd1(context, out)
+
+
+def _compose(t: np.ndarray) -> np.ndarray:
+    size = t.shape[0]
+    if size == 2:
+        return np.array([1.0 - t[1], t[1]])
+    n = size.bit_length() - 1
+    marg = t[1 << np.arange(n)]
+    f = int(np.argmax(marg))
+    p0 = float(marg[f])
+    bit = 1 << f
+    masks = np.arange(size)
+    full = masks[(masks & bit) == 0]
+    t_in = t[full | bit].copy()
+    t_out = t[full] - t_in
+    t_in[0] = 1.0
+    t_out[0] = 1.0
+    q_in = _compose(t_in)
+    q_out = _compose(t_out)
+    q_in[0] -= 1.0 - p0
+    q_out[0] -= p0
+    out = np.empty(size)
+    out[full | bit] = q_in
+    out[full] = q_out
+    return out
+
+
+def recursive_frame_epd1(d: Epd2) -> Epd1:
+    """First-kind table from a completed intersection table, by the frame recursion.
+
+    At each level the largest-marginal event (lowest index on ties)
+    frames the split; both slices are completed as distributions of
+    their own, rebuilt the same way, and interleaved back.  Nothing is
+    checked: an infeasible table comes back with negative cells.
+    """
+    return Epd1(d.context, _compose(np.asarray(d.values, dtype=np.float64)))
+
+
+def _fit_value(value: float, iv: FrechetInterval, what: str, policy: str) -> float:
+    if iv.lower <= value <= iv.upper:
+        return value
+    if iv.contains(value) or policy == "clamp":
+        warnings.warn(
+            f"{what} = {value!r} clamped into [{iv.lower!r}, {iv.upper!r}]",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return iv.clamp(value)
+    raise InfeasibleParameterError(
+        f"{what} = {value!r} outside the admissible interval "
+        f"[{iv.lower!r}, {iv.upper!r}]"
+    )
+
+
+def naive_interval_walk(t: np.ndarray, policy: str) -> None:
+    """The top-level interval walk of a dense intersection table, mask by mask.
+
+    Event 0 is the frame.  Values are checked (and possibly clamped in
+    place, one warning each) in ascending subset size, so every
+    interval is built from already-vetted facets.
+    """
+    size = t.shape[0]
+    n = size.bit_length() - 1
+    p0 = float(t[1])
+    for k in range(1, n):
+        iv = frechet_bounds({}, 1 << k, float(t[1 << k]), p0)
+        name = f"pair intersection of ordered events (0, {k})"
+        t[(1 << k) | 1] = _fit_value(float(t[(1 << k) | 1]), iv, name, policy)
+    higher = sorted(
+        (
+            mask
+            for mask in range(size)
+            if not mask & 1 and bin(mask).count("1") >= 2
+        ),
+        key=lambda m: (bin(m).count("1"), m),
+    )
+    for s in higher:
+        bits = tuple(b for b in range(n) if s & (1 << b))
+        known_in = {s & ~(1 << b): float(t[(s & ~(1 << b)) | 1]) for b in bits}
+        iv_in = frechet_bounds(known_in, s, None, p0)
+        name_in = f"frame-side intersection of ordered events {(0,) + bits}"
+        v_in = _fit_value(float(t[s | 1]), iv_in, name_in, policy)
+        t[s | 1] = v_in
+        known_out = {
+            s & ~(1 << b): float(t[s & ~(1 << b)]) - float(t[(s & ~(1 << b)) | 1])
+            for b in bits
+        }
+        iv_out = frechet_bounds(known_out, s, None, 1.0 - p0)
+        name_out = f"off-frame intersection of ordered events {bits}"
+        v_out = _fit_value(float(t[s]) - v_in, iv_out, name_out, policy)
+        t[s] = v_out + v_in

@@ -50,6 +50,17 @@ class HalfRareProjection:
     keep: int
     permutation: tuple[int, ...]
 
+    def unsort_masks(self) -> np.ndarray:
+        """For each subset mask over the sorted events, the mask over the point's events.
+
+        Sorted bit j stands for event ``permutation[j]``.
+        """
+        masks = np.arange(self.point.context.size)
+        out = np.zeros_like(masks)
+        for j, k in enumerate(self.permutation):
+            out |= ((masks >> j) & 1) << k
+        return out
+
 
 def phenomenon_point(m: MarginalSet, keep: int) -> MarginalSet:
     """Mirror a marginal point: keep coordinates in ``keep``, flip the rest."""

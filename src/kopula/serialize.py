@@ -216,26 +216,24 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
 
     Keys name the caller's events; each stands for its folded (half-rare)
     image.  The masks are then rewritten into the sorted ordering that
-    the composition uses internally.
+    the frame build uses internally.
     """
-    proj = half_rare_projection(p)
-    position = {orig: j for j, orig in enumerate(proj.permutation)}
-    inter: dict[int, float] = {}
-    for key, value in named.items():
-        mask = p.context.mask_from_label(str(key))
-        canon = 0
-        for b in range(p.context.n_events):
-            if mask & (1 << b):
-                canon |= 1 << position[b]
-        inter[canon] = float(value)
-    return FrameParams(p.context.n_events, inter)
+    ctx = p.context
+    resort = np.empty(ctx.size, dtype=np.int64)
+    resort[half_rare_projection(p).unsort_masks()] = np.arange(ctx.size)
+    resort = resort.tolist()
+    inter = {
+        resort[ctx.mask_from_label(str(key))]: float(value)
+        for key, value in named.items()
+    }
+    return FrameParams(ctx.n_events, inter)
 
 
 def build_from_config(obj: Mapping) -> Epd1:
     """One of three builds: a family, frame parameters, or correlations.
 
     A "family" key evaluates that family at the marginal point; a
-    "frame_params" mapping runs the recursive composition; a "kor"
+    "frame_params" mapping runs the frame build; a "kor"
     object (keys xy, xz, in, out, three events only) goes through the
     correlation parametrization first.
     """

@@ -75,6 +75,29 @@ class TestBuild:
         cfg = write_json(tmp_path / "cfg.json", {"marginals": [0.3, 0.2]})
         assert run(["build", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("policy", ["clip", 5])
+    def test_bad_policy_on_a_feasible_table_exit_1(self, tmp_path, policy, capsys):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"marginals": [0.5, 0.4], "frame_params": {"x0&x1": 0.2}, "policy": policy},
+        )
+        assert run(["build", "--config", cfg]) == 1
+        assert "policy" in capsys.readouterr().err
+
+    def test_deep_infeasibility_exit_2(self, tmp_path, capsys):
+        # the top-level windows hold; the off-frame slice does not
+        pairs = {f"x{i}&x{j}": 0.0 for i in range(4) for j in range(i + 1, 4)}
+        triples = {"x0&x1&x2": 0.0, "x0&x1&x3": 0.0, "x0&x2&x3": 0.0, "x1&x2&x3": 0.0}
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"marginals": [0.4, 0.3, 0.3, 0.3],
+             "frame_params": {**pairs, **triples, "x0&x1&x2&x3": 0.0}},
+        )
+        out = tmp_path / "table.json"
+        assert run(["build", "--config", cfg, "--out", str(out)]) == 2
+        assert "drive the cell" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestArgparseContract:
     def test_no_subcommand(self, capsys):
@@ -88,6 +111,21 @@ class TestArgparseContract:
     def test_missing_required_flag(self, capsys):
         assert run(["build"]) == 1
         assert "--config" in capsys.readouterr().err
+
+    def test_back_to_back_runs_keep_their_own_exit_codes(
+        self, tmp_path, doublet_file, capsys
+    ):
+        # the parser is built once per process and shared by every run
+        broken = write_json(tmp_path / "broken.json", {"family": "quarter_sum"})
+        renumber = ["renumber", "--config", doublet_file, "--keep", "1"]
+        assert run(renumber + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("mask,subset_labels,value")
+        assert run(["validate", "--config", broken, "--resolution", "3"]) == 3
+        assert run(["sample", "--config", doublet_file, "--n", "oops"]) == 1
+        capsys.readouterr()
+        assert run(renumber) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "epd1"
+        assert run(["oracle", "--n", "2", "--trials", "2"]) == 0
 
 
 class TestValidate:
@@ -229,3 +267,20 @@ def test_oracle_smoke(capsys):
     assert run(["oracle", "--n", "3", "--trials", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "agree" in out and "trials = 5" in out
+
+
+def test_oracle_checks_the_frame_build_against_the_recursion(capsys):
+    assert run(["oracle", "--n", "4", "--trials", "5"]) == 0
+    assert "frame build: Möbius vs recursive reference" in capsys.readouterr().out
+
+
+def test_oracle_mismatch_exit_4(monkeypatch, capsys):
+    from kopula import cli, oracles
+
+    def skewed(t):
+        d = oracles.recursive_frame_epd1(t)
+        return ko.Epd1(d.context, d.values + 1e-6)
+
+    monkeypatch.setattr(cli, "recursive_frame_epd1", skewed)
+    assert run(["oracle", "--n", "3", "--trials", "3"]) == 4
+    assert "DISAGREE" in capsys.readouterr().out

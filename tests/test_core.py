@@ -71,6 +71,15 @@ class TestEventSetContext:
         with pytest.raises(ko.ContextError):
             ctx2.index_of("zz")
 
+    def test_label_lookup_leaves_identity_alone(self, ctx2):
+        fresh = ko.EventSetContext(2, ("x", "y"))
+        before = repr(ctx2)
+        assert ctx2.index_of("x") == 0
+        assert repr(ctx2) == before
+        assert ctx2 == fresh and hash(ctx2) == hash(fresh)
+        with pytest.raises(ko.ContextError):
+            ctx2.index_of(["x"])
+
     def test_check_mask_bounds(self, ctx2):
         ctx2.check_mask(0b11)
         for mask in (4, -1):
