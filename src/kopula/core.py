@@ -39,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +80,8 @@ SUM_ATOL = 1e-9
 VALUE_ATOL = 1e-9
 # Slack for superset monotonicity of second-kind tables.
 MONOTONE_ATOL = 1e-12
+# Float dust this close outside [0, 1] is snapped onto the bound.
+_UNIT_SNAP = 1e-12
 
 _LABEL_FORBIDDEN = set("&, \t\n")
 
@@ -220,18 +222,30 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _clean_unit_interval(values: tuple[float, ...], what: str) -> tuple[float, ...]:
-    out = []
-    for k, v in enumerate(values):
-        v = float(v)
-        if -1e-12 < v < 0.0:
-            v = 0.0
-        elif 1.0 < v < 1.0 + 1e-12:
-            v = 1.0
-        if not 0.0 <= v <= 1.0:
-            raise ParameterRangeError(f"{what}[{k}] = {v} outside [0, 1]")
-        out.append(v)
-    return tuple(out)
+def clean_unit_interval(
+    values, name: Callable[[int], str], missing_ok: bool = False
+) -> np.ndarray:
+    """Float64 copy of ``values`` with dust within 1e-12 of [0, 1] snapped onto it.
+
+    Anything further out raises a ParameterRangeError for the first
+    offender, named by ``name(index)``; so does NaN, unless
+    ``missing_ok`` (then NaN passes through as "not supplied").  Two
+    reductions decide the common case, so small inputs stay cheap.
+    """
+    v = np.array(values, dtype=np.float64)
+    low, high = (np.fmin, np.fmax) if missing_ok else (np.minimum, np.maximum)
+    lo = low.reduce(v, axis=None, initial=np.inf)
+    hi = high.reduce(v, axis=None, initial=-np.inf)
+    if not (lo > -_UNIT_SNAP and hi < 1.0 + _UNIT_SNAP):
+        bad = ~((v > -_UNIT_SNAP) & (v < 1.0 + _UNIT_SNAP))
+        if missing_ok:
+            bad &= ~np.isnan(v)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParameterRangeError(f"{name(k)} = {float(v.flat[k])!r} outside [0, 1]")
+    if lo < 0.0 or hi > 1.0:
+        np.clip(v, 0.0, 1.0, out=v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -247,7 +261,9 @@ class MarginalSet:
     half_rare: bool = False
 
     def __post_init__(self) -> None:
-        probs = _clean_unit_interval(tuple(self.probs), "marginal")
+        probs = tuple(map(float, self.probs))
+        if not all(0.0 <= p <= 1.0 for p in probs):  # only these need the cleaner
+            probs = tuple(clean_unit_interval(probs, "marginal[{}]".format).tolist())
         if len(probs) != self.context.n_events:
             raise ContextError(
                 f"expected {self.context.n_events} marginals, got {len(probs)}"

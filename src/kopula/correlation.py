@@ -30,6 +30,7 @@ from .core import (
     MarginalSet,
     ParameterRangeError,
     UndefinedCorrelationError,
+    clean_unit_interval,
 )
 from .frame import FrameParams, FrechetInterval, frechet_bounds
 
@@ -55,20 +56,13 @@ class KovBounds:
     kov_plus: float
 
 
-def _check_unit(value: float, what: str) -> float:
-    v = float(value)
-    if -1e-12 < v < 0.0:
-        v = 0.0
-    elif 1.0 < v < 1.0 + 1e-12:
-        v = 1.0
-    if not 0.0 <= v <= 1.0:
-        raise ParameterRangeError(f"{what} = {value!r} outside [0, 1]")
-    return v
+def _unit_pair(a: float, b: float, names: tuple[str, str]) -> list[float]:
+    return clean_unit_interval((a, b), names.__getitem__).tolist()
 
 
 def _check_kor(kor: float) -> float:
     k = float(kor)
-    if abs(k) > 1.0 + 1e-12:
+    if not abs(k) <= 1.0 + 1e-12:  # NaN fails too
         raise ParameterRangeError(f"correlation {kor!r} outside [-1, 1]")
     return min(1.0, max(-1.0, k))
 
@@ -84,8 +78,7 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     further out is rejected.  A zero covariance maps to 0 even when a
     window side has no room.
     """
-    p_x = _check_unit(p_x, "p_x")
-    p_y = _check_unit(p_y, "p_y")
+    p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
     window = _pair_window(p_x, p_y)
     if not window.contains(p_xy):
         raise InfeasibleParameterError(
@@ -118,9 +111,11 @@ def pxy_from_kor2(p_x: float, p_y: float, kor: float) -> float:
     Monotone nondecreasing in kor; -1, 0, +1 hit the window's lower
     end, the product, and the upper end respectively.
     """
-    p_x = _check_unit(p_x, "p_x")
-    p_y = _check_unit(p_y, "p_y")
-    kor = _check_kor(kor)
+    p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
+    return _pair_value(p_x, p_y, _check_kor(kor))
+
+
+def _pair_value(p_x: float, p_y: float, kor: float) -> float:
     window = _pair_window(p_x, p_y)
     prod = p_x * p_y
     if kor < 0.0:
@@ -139,8 +134,6 @@ def _triple_setting(
             f"triple parametrization needs 3 events, got {p.context.n_events}"
         )
     px, py, pz = p.probs
-    pair_xy = _check_unit(pair_xy, "pair_xy")
-    pair_xz = _check_unit(pair_xz, "pair_xz")
     if mode == "frame":
         raw = px * py * pz
         known = {0b01: pair_xy, 0b10: pair_xz}
@@ -166,6 +159,7 @@ def inserted_triple_kov_bounds(
     The offsets are measured from the raw (unclamped) baseline; when it
     lies outside the window both collapse onto the near endpoint.
     """
+    pair_xy, pair_xz = _unit_pair(pair_xy, pair_xz, ("pair_xy", "pair_xz"))
     raw, window = _triple_setting(mode, p, pair_xy, pair_xz)
     if raw < window.lower:
         kb = KovBounds(window.lower - raw, window.lower - raw)
@@ -228,8 +222,9 @@ def params_from_kor3(
             "params_from_kor3 needs ordered half-rare marginals (largest first)"
         )
     px, py, pz = probs
-    a1 = pxy_from_kor2(px, py, kor_xy)
-    a2 = pxy_from_kor2(px, pz, kor_xz)
+    # the marginals are clean already, and the pair values land in their windows
+    a1 = _pair_value(px, py, _check_kor(kor_xy))
+    a2 = _pair_value(px, pz, _check_kor(kor_xz))
     raw_in, win_in = _triple_setting("frame", p, a1, a2)
     t_in = _pick_inserted(raw_in, win_in, kor_in, modification)
     raw_out, win_out = _triple_setting("complement", p, a1, a2)

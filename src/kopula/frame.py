@@ -20,6 +20,10 @@ point), ``triplet_epd`` and ``quadruplet_epd`` (ordered half-rare
 triples and quadruples) compute it that way; the recursion itself is
 kept as the reference ``oracles.recursive_frame_epd1``.
 
+The intersections live in one dense array indexed by subset mask, NaN
+where nothing is supplied (``FrameParams.table``); the sort and the fold
+of ``build_nset_epd`` are a transpose and a flip of its tensor view.
+
 Feasibility of the intersection table is a chain of interval
 constraints: given its facet values, each intersection must lie inside
 a closed interval (``frechet_bounds``).  A walk of those intervals for
@@ -33,9 +37,9 @@ negative cell in the final table and is rejected there.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,15 +52,16 @@ from .core import (
     Epd2,
     EventSetContext,
     InfeasibleParameterError,
-    InvalidDistributionError,
+    MAX_EVENTS,
     MarginalSet,
     ParameterRangeError,
     VALUE_ATOL,
     _superset_mobius,
+    clean_unit_interval,
     mask_bits,
     validate_epd1,
 )
-from .phenomena import half_rare_projection, renumber_epd1
+from .phenomena import half_rare_projection, transpose_events
 
 __all__ = [
     "PseudoDistribution",
@@ -76,11 +81,6 @@ __all__ = [
 ]
 
 _MASS_EPS = 1e-15
-
-
-def _insert_bit(sub: np.ndarray, pos: int) -> np.ndarray:
-    """Spread submasks over n-1 positions into n positions, bit ``pos`` clear."""
-    return ((sub >> pos) << (pos + 1)) | (sub & ((1 << pos) - 1))
 
 
 def _drop_event_context(ctx: EventSetContext, frame_events: int) -> EventSetContext:
@@ -200,13 +200,8 @@ def frame_split(joint: Epd1, frame_event: int) -> tuple[PseudoDistribution, Pseu
     if ctx.n_events == 1:
         raise ConditioningError("splitting needs at least two events")
     sub_ctx = _drop_event_context(ctx, 1 << frame_event)
-    sub = np.arange(ctx.size >> 1)
-    full = _insert_bit(sub, frame_event)
-    bit = 1 << frame_event
-    return (
-        PseudoDistribution(sub_ctx, joint.values[full | bit]),
-        PseudoDistribution(sub_ctx, joint.values[full]),
-    )
+    t, axis = joint.values.reshape((2,) * ctx.n_events), ctx.n_events - 1 - frame_event
+    return tuple(PseudoDistribution(sub_ctx, t.take(b, axis)) for b in (1, 0))
 
 
 def frame_compose(
@@ -236,11 +231,8 @@ def frame_compose(
             k += 1
         frame_label = f"f{k}"
     ctx = EventSetContext(len(old) + 1, (frame_label,) + old)
-    out = np.empty(ctx.size)
-    sub = np.arange(pseudo_in.context.size)
-    out[(sub << 1) | 1] = pseudo_in.values
-    out[sub << 1] = pseudo_out.values
-    return Epd1(ctx, out)
+    # the new event is the last axis of the tensor view
+    return Epd1(ctx, np.stack((pseudo_out.values, pseudo_in.values), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -312,49 +304,83 @@ def frechet_bounds(
     return FrechetInterval(lower, min(facets))
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _low_masks(n: int) -> np.ndarray:
+    """The empty set, then the single events: the entries the marginals fill."""
+    return np.concatenate(([0], 1 << np.arange(n)))
+
+
+def _event_count(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_EVENTS:
+        raise ParameterRangeError(f"n_events must be an integer in [1, {MAX_EVENTS}], got {n!r}")
+    return int(n)
+
+
+@dataclass(frozen=True, eq=False)
 class FrameParams:
     """Intersection probabilities for every subset of size two or more.
 
-    Keys are subset masks of the event set the table will be built
-    over; for ``build_nset_epd`` that is the ordered half-rare image of
-    the caller's events, largest projected marginal first.
+    ``table`` is a frozen float64 array of length 2**n_events indexed by
+    subset mask, NaN where no value is supplied and always NaN at the
+    empty set and the single events, which the marginals fill; a
+    mask-keyed mapping is accepted in its place.  Masks refer to the
+    events the table will be built over: for ``build_nset_epd``, the
+    caller's events folded and sorted, largest marginal first.
+    Equality is identity, as for ``Epd1``.
     """
 
     n_events: int
-    intersections: Mapping[int, float] = field(default_factory=dict)
+    table: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_events <= 24:
-            raise ParameterRangeError(f"n_events {self.n_events} outside [1, 24]")
-        full = (1 << self.n_events) - 1
-        clean: dict[int, float] = {}
-        for mask, value in self.intersections.items():
-            mask = int(mask)
-            if not 0 <= mask <= full or bin(mask).count("1") < 2:
+        n = _event_count(self.n_events)
+        src = self.table
+        if isinstance(src, Mapping):
+            try:
+                masks = np.fromiter(src, np.int64, len(src))
+                values = np.fromiter(src.values(), np.float64, len(src))
+            except (TypeError, ValueError, OverflowError):  # e.g. a NaN key, a list value
+                raise ParameterRangeError("parameters must map subset masks to numbers") from None
+            bad = (masks >> n != 0) | np.isnan(values)
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise ParameterRangeError(
-                    f"parameter keys must be subsets of size >= 2, got {mask:#b}"
+                    f"parameter {int(masks[i]):#b} = {values[i]}: key outside {n} events, or NaN"
                 )
-            v = float(value)
-            if -1e-12 < v < 0.0:
-                v = 0.0
-            if not 0.0 <= v <= 1.0:
-                raise ParameterRangeError(f"intersection for {mask:#b} is {v}, outside [0, 1]")
-            clean[mask] = v
-        object.__setattr__(self, "intersections", clean)
+            src = np.full(1 << n, np.nan)
+            src[masks] = values
+        t = clean_unit_interval(src, "intersection for {:#b}".format, missing_ok=True)
+        if t.shape != (1 << n,):
+            raise ParameterRangeError(f"expected {1 << n} table entries, got shape {t.shape}")
+        supplied = _low_masks(n)[~np.isnan(t[_low_masks(n)])]
+        if supplied.size:
+            raise ParameterRangeError(
+                f"parameter keys must be subsets of size >= 2, got {int(supplied[0]):#b}"
+            )
+        t.setflags(write=False)
+        object.__setattr__(self, "n_events", n)
+        object.__setattr__(self, "table", t)
+
+    @property
+    def intersections(self) -> dict[int, float]:
+        """The supplied values keyed by subset mask, ascending (a new dict)."""
+        masks = np.flatnonzero(~np.isnan(self.table))
+        return dict(zip(masks.tolist(), self.table[masks].tolist()))
 
     @classmethod
     def independence(cls, probs: Sequence[float]) -> "FrameParams":
-        """Product intersections of the given per-event probabilities."""
-        n = len(probs)
-        inter: dict[int, float] = {}
-        for r in range(2, n + 1):
-            for bits in combinations(range(n), r):
-                v = 1.0
-                for b in bits:
-                    v *= float(probs[b])
-                inter[sum(1 << b for b in bits)] = v
-        return cls(n, inter)
+        """Product intersections of the given per-event probabilities.
+
+        The entries holding event k as their highest are the ones below
+        times p_k, so each product takes its factors in ascending order.
+        """
+        p = clean_unit_interval(probs, "probs[{}]".format)
+        n = _event_count(p.size)
+        t = np.ones(1 << n)
+        for k in range(n):
+            t[1 << k : 2 << k] = t[: 1 << k] * p[k]
+        t[_low_masks(n)] = np.nan
+        return cls(n, t)
 
     @classmethod
     def from_triplet(
@@ -365,39 +391,22 @@ class FrameParams:
         a1 = P(x and y), a2 = P(x and z), t_in = P(x and y and z),
         t_out = P(not-x and y and z); events ordered x, y, z.
         """
-        return cls(
-            3,
-            {
-                0b011: a1,
-                0b101: a2,
-                0b110: t_in + t_out,
-                0b111: t_in,
-            },
-        )
+        return cls(3, [np.nan] * 3 + [a1, np.nan, a2, t_in + t_out, t_in])
 
     @classmethod
     def from_epd2(cls, d: Epd2) -> "FrameParams":
-        inter = {
-            mask: float(d.values[mask])
-            for mask in range(d.context.size)
-            if bin(mask).count("1") >= 2
-        }
-        return cls(d.context.n_events, inter)
+        t = np.array(d.values)
+        t[_low_masks(d.context.n_events)] = np.nan
+        return cls(d.context.n_events, t)
 
     @classmethod
     def from_labels(
         cls, context: EventSetContext, named: Mapping[str, float]
     ) -> "FrameParams":
-        return cls(
-            context.n_events,
-            {context.mask_from_label(k): v for k, v in named.items()},
-        )
+        return cls(context.n_events, {context.mask_from_label(k): v for k, v in named.items()})
 
     def to_labels(self, context: EventSetContext) -> dict[str, float]:
-        return {
-            context.mask_label(mask): v
-            for mask, v in sorted(self.intersections.items())
-        }
+        return {context.mask_label(m): v for m, v in self.intersections.items()}
 
     def complete_table(self, probs: Sequence[float]) -> np.ndarray:
         """Dense intersection array: 1 at the empty set, marginals, parameters.
@@ -408,20 +417,13 @@ class FrameParams:
         n = self.n_events
         if len(probs) != n:
             raise ParameterRangeError(f"expected {n} marginals, got {len(probs)}")
-        count = len(self.intersections)
-        singles = 1 << np.arange(n)
-        t = np.full(1 << n, np.nan)
-        t[0] = 1.0
-        t[singles] = 0.0
-        t[np.fromiter(self.intersections, np.int64, count)] = np.fromiter(
-            self.intersections.values(), np.float64, count
-        )
-        missing = np.flatnonzero(np.isnan(t))
-        if missing.size:
+        t = self.table.copy()
+        t[_low_masks(n)] = (1.0, *probs)
+        missing = np.isnan(t)
+        if missing.any():
             raise DependencyError(
-                f"no intersection value supplied for subset mask {int(missing[0]):#b}"
+                f"no intersection value supplied for subset mask {int(np.argmax(missing)):#b}"
             )
-        t[singles] = probs
         return t
 
 
@@ -536,19 +538,16 @@ def _first_kind(t: np.ndarray, policy: str, who: str) -> np.ndarray:
     return cells
 
 
-def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> np.ndarray:
+def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> tuple[float, ...]:
     if p.context.n_events != n:
         raise ParameterRangeError(f"{who} needs exactly {n} events, got {p.context.n_events}")
-    probs = np.asarray(p.probs)
-    if probs.max() > 0.5:
+    if max(p.probs) > 0.5:
         raise ParameterRangeError(
             f"{who} needs half-rare marginals (all <= 1/2); project the point first"
         )
-    if not all(probs[i] >= probs[i + 1] for i in range(n - 1)):
-        raise ParameterRangeError(
-            f"{who} needs marginals in nonincreasing order, got {tuple(p.probs)}"
-        )
-    return probs
+    if not p.is_nonincreasing():
+        raise ParameterRangeError(f"{who} needs marginals in nonincreasing order, got {p.probs}")
+    return p.probs
 
 
 def triplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
@@ -606,7 +605,8 @@ def build_nset_epd(
     sorted by decreasing folded probability; ``params`` is keyed by
     subsets IN THAT ordering (event 0 = largest folded marginal).  The
     sorted table is the Möbius inverse of the completed intersection
-    table, mapped back through the sort and the folding.
+    table, mapped back through the sort and the folding by one transpose
+    and flip of its tensor view.
 
     policy applies to the top-level interval walk, which runs under
     "clamp" and on a table with a negative cell: "raise" rejects
@@ -622,11 +622,7 @@ def build_nset_epd(
     proj = half_rare_projection(p)
     q = [proj.point.probs[k] for k in proj.permutation]
     e_sorted = _first_kind(params.complete_table(q), policy, "build_nset_epd")
-    e_proj = np.empty(ctx.size)
-    e_proj[proj.unsort_masks()] = e_sorted
-    folded = Epd1(ctx, e_proj)
-    unfolded = renumber_epd1(folded, proj.keep)
-    return _finish_table(np.array(unfolded.values), ctx, "build_nset_epd")
+    return _finish_table(proj.unsort_unfold(e_sorted), ctx, "build_nset_epd")
 
 
 # ---------------------------------------------------------------------------
@@ -682,61 +678,33 @@ def full_probability_check(
     ctx.check_mask(frame_events)
     if frame_events == 0:
         raise ConditioningError("frame subset must contain at least one event")
-    q = bin(frame_events).count("1")
-    n_cells = 1 << q
-    masks = np.arange(ctx.size)
-
-    free = ctx.full_mask & ~frame_events
-    free_bits = [b for b in range(ctx.n_events) if free & (1 << b)]
-    frame_bits = [b for b in range(ctx.n_events) if frame_events & (1 << b)]
-
-    compact_free = np.zeros(ctx.size, dtype=np.int64)
-    for j, b in enumerate(free_bits):
-        compact_free |= ((masks >> b) & 1) << j
-    m_free = len(free_bits)
-
-    block_mass = np.zeros(n_cells)
-    free_marginal = np.zeros(1 << m_free)
-    recon = np.zeros(ctx.size)
-    have_conds = conditionals is not None
-    if have_conds and len(conditionals) != n_cells:
-        raise CompositionError(
-            f"need {n_cells} conditionals for {q} frame events, got {len(conditionals)}"
-        )
-
-    frame_dev = 0.0
-    for cell in range(n_cells):
-        y = 0
-        for j, b in enumerate(frame_bits):
-            y |= ((cell >> j) & 1) << b
-        sel = (masks & frame_events) == y
-        mass = float(joint.values[sel].sum())
-        block_mass[cell] = mass
-        np.add.at(free_marginal, compact_free[sel], joint.values[sel])
-        if have_conds:
-            cond = conditionals[cell]
+    frame_bits = list(mask_bits(frame_events))
+    free_bits = [k for k in range(ctx.n_events) if not frame_events >> k & 1]
+    q, m_free = len(frame_bits), len(free_bits)
+    # row: frame cell, column: pattern of the free events, both compacted
+    blocks = transpose_events(joint.values, free_bits + frame_bits).reshape(1 << q, -1)
+    block_mass = blocks.sum(axis=1)
+    frame_dev = mixture_res = recon_res = 0.0
+    if conditionals is not None:
+        if len(conditionals) != 1 << q:
+            raise CompositionError(
+                f"need {1 << q} conditionals for {q} frame events, got {len(conditionals)}"
+            )
+        for cell, cond in enumerate(conditionals):
             if cond.context.n_events != m_free:
                 raise CompositionError(
                     f"conditional {cell} covers {cond.context.n_events} events, "
                     f"expected {m_free}"
                 )
-            recon[sel] = mass * cond.values[compact_free[sel]]
+        conds = np.array([cond.values for cond in conditionals])
+        mixture_res = float(np.max(np.abs(block_mass @ conds - blocks.sum(axis=0))))
+        recon_res = float(np.max(np.abs(block_mass[:, None] * conds - blocks)))
     if frame_epd is not None:
         if frame_epd.context.n_events != q:
             raise CompositionError(
                 f"frame table covers {frame_epd.context.n_events} events, expected {q}"
             )
         frame_dev = float(np.max(np.abs(block_mass - frame_epd.values)))
-
-    mixture_res = 0.0
-    recon_res = 0.0
-    if have_conds:
-        mixture = np.zeros(1 << m_free)
-        for cell in range(n_cells):
-            mixture += block_mass[cell] * conditionals[cell].values
-        mixture_res = float(np.max(np.abs(mixture - free_marginal)))
-        recon_res = float(np.max(np.abs(recon - joint.values)))
-
     return FullProbabilityReport(
         frame_events=frame_events,
         tol=tol,

@@ -17,6 +17,11 @@ Every marginal point has exactly one mirror image with all coordinates
 at most 1/2 (ties at 1/2 are resolved toward keeping the event).  That
 canonical image, its keep-set, and the ordering of its coordinates by
 decreasing probability drive the constructions in ``kopula.frame``.
+
+On the ``(2,) * N`` tensor view of a table (axis a holds event N-1-a),
+complementing events is a flip along their axes and reordering events
+is a transpose; ``HalfRareProjection.unsort_masks`` and
+``oracles.naive_renumber`` are their index-based references.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VALUE_ATOL, Epd1, EventSetContext, MarginalSet
+from .core import VALUE_ATOL, Epd1, MarginalSet
 
 __all__ = [
     "HalfRareProjection",
@@ -60,6 +65,29 @@ class HalfRareProjection:
         for j, k in enumerate(self.permutation):
             out |= ((masks >> j) & 1) << k
         return out
+
+    def sort_table(self, values: np.ndarray) -> np.ndarray:
+        """A table over the point's events, re-indexed over the sorted events."""
+        return transpose_events(values, self.permutation).reshape(-1)
+
+    def unsort_unfold(self, values: np.ndarray) -> np.ndarray:
+        """A first-kind table over the sorted folded events, read over the point's own:
+        the inverse transpose, then a flip back of the folded events, copied once."""
+        perm = self.permutation
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        return _flip_events(transpose_events(values, inverse), self.keep).reshape(-1)
+
+
+def transpose_events(values: np.ndarray, order) -> np.ndarray:
+    """Tensor view whose event j is event ``order[j]`` of the table ``values``."""
+    n = len(order)
+    return np.transpose(values.reshape((2,) * n), [n - 1 - k for k in reversed(order)])
+
+
+def _flip_events(tensor: np.ndarray, keep: int) -> np.ndarray:
+    """The tensor view with every event outside ``keep`` complemented."""
+    n = tensor.ndim
+    return np.flip(tensor, [n - 1 - k for k in range(n) if not keep >> k & 1])
 
 
 def phenomenon_point(m: MarginalSet, keep: int) -> MarginalSet:
@@ -98,26 +126,18 @@ def half_rare_projection(m: MarginalSet) -> HalfRareProjection:
 
     A coordinate exactly at 1/2 is never complemented.
     """
-    keep = 0
-    for k, p in enumerate(m.probs):
-        if p <= 0.5:
-            keep |= 1 << k
-    folded = phenomenon_point(m, keep)
-    return HalfRareProjection(
-        point=MarginalSet(m.context, folded.probs, half_rare=True),
-        keep=keep,
-        permutation=_rank_folded(folded.probs),
-    )
+    keep = sum(1 << k for k, p in enumerate(m.probs) if p <= 0.5)
+    point = phenomenon_point(m, keep)  # all <= 1/2, so marked half-rare
+    return HalfRareProjection(point=point, keep=keep, permutation=_rank_folded(point.probs))
 
 
 def renumber_epd1(d: Epd1, keep: int) -> Epd1:
     """Re-read a first-kind table with the events outside ``keep`` complemented.
 
-    A pure cell permutation (an involution for fixed ``keep``); the
-    marginals of the result are the mirrored marginals of the input.
+    A pure cell permutation (an involution for fixed ``keep``): a flip
+    of the tensor view.  The marginals of the result are the mirrored
+    marginals of the input.
     """
     ctx = d.context
-    ctx.check_mask(keep)
-    masks = np.arange(ctx.size)
-    source = (~(keep ^ masks)) & ctx.full_mask
-    return Epd1(ctx, d.values[source])
+    keep = ctx.check_mask(keep)
+    return Epd1(ctx, _flip_events(d.values.reshape((2,) * ctx.n_events), keep))

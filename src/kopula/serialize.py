@@ -16,7 +16,9 @@ and tests share one vocabulary.  See the README for the full schema.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from typing import IO, Mapping
 
 import numpy as np
@@ -212,21 +214,30 @@ def _marginals_from_config(obj: Mapping) -> MarginalSet:
 
 
 def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
-    """Translate label-keyed intersections to sorted-event masks.
+    """Translate label-keyed intersections to a table over the sorted events.
 
-    Keys name the caller's events; each stands for its folded (half-rare)
-    image.  The masks are then rewritten into the sorted ordering that
-    the frame build uses internally.
+    Keys name the caller's events, each standing for its folded image, and
+    no subset twice; values are finite JSON numbers.  The caller-order
+    table is transposed into the frame build's order.
     """
     ctx = p.context
-    resort = np.empty(ctx.size, dtype=np.int64)
-    resort[half_rare_projection(p).unsort_masks()] = np.arange(ctx.size)
-    resort = resort.tolist()
-    inter = {
-        resort[ctx.mask_from_label(str(key))]: float(value)
-        for key, value in named.items()
-    }
-    return FrameParams(ctx.n_events, inter)
+    values = None
+    if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, named.values()))):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            values = np.fromiter(named.values(), np.float64, len(named))
+    if values is None or not np.isfinite(values).all():
+        label = next(k for k, v in named.items() if isinstance(v, bool)
+                     or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max)
+        raise ConfigError(
+            f"frame_params[{label!r}] must be a finite number, got {named[label]!r}"
+        )
+    masks = np.array([ctx.mask_from_label(str(key)) for key in named], dtype=np.int64)
+    twice = int(np.argmax(np.bincount(masks, minlength=ctx.size)))
+    if np.count_nonzero(masks == twice) > 1:
+        raise ConfigError(f"frame_params names the subset {ctx.mask_label(twice)!r} more than once")
+    t = np.full(ctx.size, np.nan)
+    t[masks] = values
+    return FrameParams(ctx.n_events, half_rare_projection(p).sort_table(t))
 
 
 def build_from_config(obj: Mapping) -> Epd1:

@@ -1,0 +1,32 @@
+"""Smoke runs of the scripts under ``scripts/``."""
+
+import csv
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+def test_kor_sweep_writes_one_row_per_grid_point(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("kor_sweep.py", "--resolution", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, encoding="utf-8", newline="") as fp:
+        rows = list(csv.reader(fp))
+    assert rows[0] == ["kor_xy", "kor_in", "a1", "a2", "t_in", "t_out"] + [
+        f"v_{m}" for m in range(8)
+    ]
+    assert len(rows) == 1 + 9
+    for row in rows[1:]:
+        cells = [float(v) for v in row[6:]]
+        assert min(cells) >= 0.0 and abs(sum(cells) - 1.0) <= 1e-12

@@ -222,3 +222,30 @@ class TestBuildFromConfig:
             ko.build_from_config(
                 {"marginals": [0.5, 0.4], "frame_params": {"x0&x1": 0.45}}
             )
+
+
+@pytest.mark.parametrize(
+    "frame_params, label",
+    [
+        ({"x0&x1": 0.05, "x1&x0": 0.06}, "x0&x1"),  # one subset named twice
+        ({"x0&x1": None}, "x0&x1"),
+        ({"x0&x1": [0.1]}, "x0&x1"),
+        ({"x0&x1": True}, "x0&x1"),
+        ({"x0&x1": "0.1"}, "x0&x1"),
+        ({"x0&x1": float("nan")}, "x0&x1"),
+        ({"x0&x1": 10**400}, "x0&x1"),
+    ],
+    ids=["duplicate", "null", "list", "bool", "string", "nan", "huge"],
+)
+def test_frame_params_take_json_numbers_once_per_subset(frame_params, label, tmp_path, capsys):
+    from kopula.cli import run
+
+    cfg = {"marginals": [0.5, 0.4], "frame_params": frame_params}
+    with pytest.raises(ko.ConfigError, match=label):
+        ko.build_from_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(dump_json(cfg), encoding="utf-8")
+    assert run(["build", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert label in err
+    assert "Traceback" not in err
