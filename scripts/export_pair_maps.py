@@ -40,16 +40,14 @@ def shipped(names, thetas):
 
 
 def write_map(fam, resolution, path):
-    ctx = fam.context
-    ws = np.linspace(0.0, 1.0, resolution)
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["w_x", "w_y", "v_none", "v_x", "v_y", "v_xy"])
-        for wx in ws:
-            for wy in ws:
-                p = ko.MarginalSet.from_values(ctx, (float(wx), float(wy)))
-                v = ko.epd_from_kopula(fam, p).values
-                writer.writerow([repr(float(wx)), repr(float(wy))] + [repr(float(x)) for x in v])
+        for w in ko.grid_points(2, resolution):
+            values, failures = ko.epd_rows_from_kopula(fam, w)
+            if failures:
+                raise failures[0][1]
+            writer.writerows(map(repr, row) for row in np.hstack([w, values]).tolist())
 
 
 def main():

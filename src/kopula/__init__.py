@@ -48,6 +48,8 @@ from .families import (
     OneFunctionReport,
     PairParamFn,
     epd_from_kopula,
+    epd_rows_from_kopula,
+    grid_points,
     verify_one_function,
     independent_kopula,
     parametric_2kopula,

@@ -20,7 +20,6 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,7 +37,13 @@ from .core import (
     epd2_from_epd1,
     marginals,
 )
-from .families import epd_from_kopula, independent_kopula, verify_one_function
+from .families import (
+    epd_from_kopula,
+    epd_rows_from_kopula,
+    grid_points,
+    independent_kopula,
+    verify_one_function,
+)
 from .frame import FrameParams, frechet_bounds, triplet_epd, build_nset_epd
 from .oracles import (
     naive_epd1_from_epd2,
@@ -51,6 +56,7 @@ from .oracles import (
 from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, sample_summary
 from .serialize import (
+    ConfigError,
     build_from_config,
     dump_json,
     epd_to_dict,
@@ -90,11 +96,53 @@ class GridSpec:
     fixed: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.resolution < 2:
-            raise ParameterRangeError(f"grid resolution must be >= 2, got {self.resolution}")
+        res = self.resolution
+        if isinstance(res, bool) or not isinstance(res, (int, np.integer)):
+            raise ConfigError(f"grid resolution must be an integer, got {res!r}")
+        if res < 2:
+            raise ParameterRangeError(f"grid resolution must be >= 2, got {res}")
+        if len(set(self.axes)) != len(self.axes):
+            raise ConfigError(f"grid axes {list(self.axes)} sweep an event twice")
+        both = sorted(set(self.axes) & set(self.fixed))
+        if both:
+            raise ConfigError(f"events {both} are both swept and fixed")
         for k, v in self.fixed.items():
-            if not 0.0 <= float(v) <= 1.0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"fixed value for event {k} must be a number, got {v!r}")
+            if not 0.0 <= v <= 1.0:
                 raise ParameterRangeError(f"fixed value for event {k} is {v}, outside [0, 1]")
+        object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
+
+
+def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:
+    """The grid a config asks for; a nonzero ``resolution`` overrides the config's."""
+    n = ctx.n_events
+
+    def event_index(key) -> int:
+        if isinstance(key, bool) or not isinstance(key, (int, str)):
+            raise ConfigError(f"grid events are named by index or label, got {key!r}")
+        if isinstance(key, str):
+            key = int(key) if key.lstrip("-").isdigit() else ctx.index_of(key)
+        if not 0 <= key < n:
+            raise ParameterRangeError(f"no event with index {key}")
+        return key
+
+    axes = cfg.get("axes", list(range(n)))
+    if not isinstance(axes, list):
+        raise ConfigError(f"'axes' must be a list of events, got {axes!r}")
+    fixed = cfg.get("fixed", {})
+    if not isinstance(fixed, Mapping):
+        raise ConfigError(f"'fixed' must map events to probabilities, got {fixed!r}")
+    held = {event_index(k): v for k, v in fixed.items()}
+    if len(held) != len(fixed):
+        raise ConfigError(f"'fixed' names an event twice: {list(fixed)}")
+    spec = GridSpec(resolution or cfg.get("resolution", 9), tuple(map(event_index, axes)), held)
+    missing = [k for k in range(n) if k not in spec.axes and k not in spec.fixed]
+    if missing:
+        raise ParameterRangeError(
+            f"events {missing} neither swept nor fixed; add them to 'axes' or 'fixed'"
+        )
+    return spec
 
 
 def _read_config(path: str) -> dict:
@@ -166,30 +214,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     fam = _guarded(lambda: family_from_config(cfg))
     ctx = fam.context
     n = ctx.n_events
-
-    def event_index(key) -> int:
-        if isinstance(key, int):
-            k = key
-        else:
-            text = str(key)
-            k = int(text) if text.lstrip("-").isdigit() else ctx.index_of(text)
-        if not 0 <= k < n:
-            raise ParameterRangeError(f"no event with index {k}")
-        return k
-
-    def make_spec() -> GridSpec:
-        axes = tuple(event_index(a) for a in cfg.get("axes", range(n)))
-        fixed = {event_index(k): float(v) for k, v in cfg.get("fixed", {}).items()}
-        missing = [k for k in range(n) if k not in axes and k not in fixed]
-        if missing:
-            raise ParameterRangeError(
-                f"events {missing} neither swept nor fixed; add them to 'axes' or 'fixed'"
-            )
-        resolution = args.resolution if args.resolution else int(cfg.get("resolution", 9))
-        return GridSpec(resolution, axes, fixed)
-
-    spec = _guarded(make_spec)
-    axis_values = np.linspace(0.0, 1.0, spec.resolution)
+    spec = _guarded(lambda: _grid_spec(cfg, ctx, args.resolution))
     header = (
         ",".join(f"w_{k}" for k in range(n))
         + ",terrace_mask,"
@@ -197,24 +222,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     )
     lines = [header]
     skipped = 0
-    for combo in product(axis_values, repeat=len(spec.axes)):
-        w = [0.0] * n
-        for k, v in spec.fixed.items():
-            w[k] = float(v)
-        for k, v in zip(spec.axes, combo):
-            w[k] = float(v)
-        point = MarginalSet.from_values(ctx, w)
-        keep = half_rare_projection(point).keep
-        try:
-            values = epd_from_kopula(fam, point).values
-        except InfeasibleParameterError as exc:
-            values = np.full(ctx.size, np.nan)
-            skipped += 1
-            print(f"grid: infeasible at {tuple(w)}: {exc}", file=sys.stderr)
-        lines.append(
-            ",".join(repr(float(v)) for v in w)
-            + f",{keep},"
-            + ",".join(repr(float(v)) for v in values)
+    bits = 1 << np.arange(n)
+    for w in grid_points(n, spec.resolution, spec.axes, spec.fixed):
+        values, failures = _guarded(lambda: epd_rows_from_kopula(fam, w))
+        for r, exc in failures:
+            print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
+        skipped += len(failures)
+        keep = (w <= 0.5) @ bits  # the half-rare projection's keep set of each row
+        lines.extend(
+            f"{','.join(map(repr, wr))},{kr},{','.join(map(repr, vr))}"
+            for wr, kr, vr in zip(w.tolist(), keep.tolist(), values.tolist())
         )
     if skipped:
         print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)

@@ -79,6 +79,8 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     window side has no room.
     """
     p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
+    if p_xy != p_xy:  # NaN: no window contains it, but it is not infeasible either
+        raise ParameterRangeError(f"p_xy = {p_xy!r} is not a number")
     window = _pair_window(p_x, p_y)
     if not window.contains(p_xy):
         raise InfeasibleParameterError(

@@ -34,7 +34,7 @@ swapping the two events, whatever f does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +54,8 @@ __all__ = [
     "KopulaFamily",
     "OneFunctionReport",
     "epd_from_kopula",
+    "epd_rows_from_kopula",
+    "grid_points",
     "verify_one_function",
     "independent_kopula",
     "parametric_2kopula",
@@ -125,6 +127,70 @@ def epd_from_kopula(k: KopulaFamily, p: MarginalSet) -> Epd1:
     return Epd1(k.context, np.maximum(raw, 0.0))
 
 
+def epd_rows_from_kopula(
+    k: KopulaFamily, w: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, InfeasibleParameterError]]]:
+    """First-kind tables of family ``k`` at every row of the (rows, n) points ``w``.
+
+    Row r is ``epd_from_kopula`` at the point ``w[r]``, from one
+    evaluation of the whole block; a family's array arithmetic may round
+    differently in bulk (``**`` does, by at most one ulp).  Only the
+    failure path runs point by point: a row with a cell below
+    -VALUE_ATOL (or a NaN cell), or every row of a block whose pair
+    function left its band, goes through ``epd_from_kopula`` again.  A row
+    that is infeasible there comes back as NaN, and its error is listed
+    with the row index.
+    """
+    masks = np.arange(k.context.size)
+    try:
+        raw = k(w[:, None, :], masks[None, :])
+    except InfeasibleParameterError:
+        values = np.empty((len(w), masks.size))
+        redo = range(len(w))
+    else:
+        values = np.maximum(raw, 0.0)
+        redo = np.flatnonzero(~(raw.min(axis=1) >= -VALUE_ATOL)).tolist()
+    failures = []
+    for r in redo:
+        try:
+            values[r] = epd_from_kopula(k, MarginalSet.from_values(k.context, w[r])).values
+        except InfeasibleParameterError as exc:
+            values[r] = np.nan
+            failures.append((r, exc))
+    return values, failures
+
+
+def grid_points(
+    n: int,
+    resolution: int,
+    axes: Sequence[int] | None = None,
+    fixed: Mapping[int, float] | None = None,
+) -> Iterator[np.ndarray]:
+    """A regular grid of marginal points, in blocks of (rows, n) arrays.
+
+    Each event in ``axes`` (all events by default) sweeps ``resolution``
+    equally spaced values, endpoints 0 and 1 included, and each event in
+    ``fixed`` holds its value; any other coordinate is 0.  Rows come in
+    ``itertools.product`` order over ``axes`` (the last one fastest),
+    and a block holds about 2**16 table cells, so the (rows, 2**n) value
+    blocks stay small.
+    """
+    axes = list(range(n)) if axes is None else list(axes)
+    axis = np.linspace(0.0, 1.0, resolution)
+    base = np.zeros(n)
+    for k, v in (fixed or {}).items():
+        base[k] = v
+    total = resolution ** len(axes)
+    step = max(1, (1 << 16) >> n)
+    for start in range(0, total, step):
+        rest = np.arange(start, min(start + step, total))
+        w = np.tile(base, (rest.size, 1))
+        for k in reversed(axes):  # peel the row index's digits off, the last axis first
+            rest, digit = np.divmod(rest, resolution)
+            w[:, k] = axis[digit]
+        yield w
+
+
 # ---------------------------------------------------------------------------
 # grid verification of the 1-function properties
 
@@ -192,23 +258,15 @@ def verify_one_function(
     if grid_resolution < 2:
         raise ParameterRangeError(f"grid_resolution must be >= 2, got {grid_resolution}")
     n = k.context.n_events
-    size = 1 << n
-    axis = np.linspace(0.0, 1.0, grid_resolution)
     bits = _phenomenon_bits(n)
-    masks = np.arange(size)
+    masks = np.arange(1 << n)
     n_points = grid_resolution**n
 
     min_value, min_point, min_subset = np.inf, (), 0
     max_res, res_point, res_event = -np.inf, (), 0
     max_dev, dev_point = -np.inf, ()
 
-    # chunked so the (rows, 2**n) value blocks stay small
-    chunk_rows = max(1, (1 << 16) // size)
-    for start in range(0, n_points, chunk_rows):
-        stop = min(start + chunk_rows, n_points)
-        idx = np.unravel_index(np.arange(start, stop), (grid_resolution,) * n)
-        w = np.stack([axis[i] for i in idx], axis=-1)  # (rows, n)
-
+    for w in grid_points(n, grid_resolution):
         values = k(w[:, None, :], masks[None, :])  # (rows, 2**n)
         total = values.sum(axis=1)
         msum = values @ bits.astype(np.float64)

@@ -291,17 +291,23 @@ def frechet_bounds(
             raise DependencyError(
                 "single-event bounds need the event's own probability"
             )
-        return FrechetInterval(max(0.0, frame_prob + p - 1.0), min(frame_prob, p))
-    facets = []
-    for b in bits:
-        key = target & ~(1 << b)
-        if key not in known:
-            raise DependencyError(
-                f"facet value for submask {key:#b} of target {target:#b} not supplied"
-            )
-        facets.append(float(known[key]))
-    lower = max(0.0, sum(facets) - (len(facets) - 1) * frame_prob)
-    return FrechetInterval(lower, min(facets))
+        facets = [p]
+        lower, upper = frame_prob + p - 1.0, min(frame_prob, p)
+    else:
+        facets = []
+        for b in bits:
+            key = target & ~(1 << b)
+            if key not in known:
+                raise DependencyError(
+                    f"facet value for submask {key:#b} of target {target:#b} not supplied"
+                )
+            facets.append(float(known[key]))
+        lower, upper = sum(facets) - (len(facets) - 1) * frame_prob, min(facets)
+    if lower != lower:  # a NaN input, which max and min would silently drop
+        raise ParameterRangeError(
+            f"NaN in the bounds of subset {target:#b}: values {facets}, frame mass {frame_prob!r}"
+        )
+    return FrechetInterval(max(0.0, lower), upper)
 
 
 @functools.cache

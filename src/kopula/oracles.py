@@ -8,12 +8,15 @@ the ``oracle`` CLI subcommand cross-checks them at runtime.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 
 from .core import Epd1, Epd2, EventSetContext, InfeasibleParameterError, MarginalSet
+from .families import KopulaFamily, epd_from_kopula
 from .frame import FrechetInterval, frechet_bounds
+from .phenomena import half_rare_projection
 
 __all__ = [
     "naive_epd2_from_epd1",
@@ -23,6 +26,7 @@ __all__ = [
     "product_epd1",
     "recursive_frame_epd1",
     "naive_interval_walk",
+    "pointwise_grid",
 ]
 
 
@@ -185,3 +189,35 @@ def naive_interval_walk(t: np.ndarray, policy: str) -> None:
         name_out = f"off-frame intersection of ordered events {bits}"
         v_out = _fit_value(float(t[s]) - v_in, iv_out, name_out, policy)
         t[s] = v_out + v_in
+
+
+def pointwise_grid(
+    k: KopulaFamily, resolution: int, axes, fixed
+) -> tuple[list[str], list[str]]:
+    """The CSV rows and the infeasibility notes of a ``grid`` sweep, point by point.
+
+    Each point gets its own MarginalSet, half-rare projection and
+    ``epd_from_kopula`` call; an infeasible point is a row of NaN and one
+    note.
+    """
+    ctx = k.context
+    rows, notes = [], []
+    for combo in itertools.product(np.linspace(0.0, 1.0, resolution), repeat=len(axes)):
+        w = [0.0] * ctx.n_events
+        for e, v in fixed.items():
+            w[e] = float(v)
+        for e, v in zip(axes, combo):
+            w[e] = float(v)
+        point = MarginalSet.from_values(ctx, w)
+        keep = half_rare_projection(point).keep
+        try:
+            values = epd_from_kopula(k, point).values
+        except InfeasibleParameterError as exc:
+            values = np.full(ctx.size, np.nan)
+            notes.append(f"grid: infeasible at {tuple(w)}: {exc}")
+        rows.append(
+            ",".join(repr(float(v)) for v in w)
+            + f",{keep},"
+            + ",".join(repr(float(v)) for v in values)
+        )
+    return rows, notes

@@ -224,3 +224,24 @@ class TestNonFiniteCorrelation:
         err = capsys.readouterr().err
         assert "correlation nan" in err
         assert "Traceback" not in err
+
+
+class TestNanWindowInputs:
+    @pytest.mark.parametrize(
+        "known, target, p, frame_prob",
+        [
+            ({0b01: math.nan, 0b10: 0.1}, 0b11, None, 0.5),
+            ({0b01: 0.1, 0b10: math.nan}, 0b11, None, 0.5),
+            ({0b01: 0.1, 0b10: 0.1}, 0b11, None, math.nan),
+            ({0b011: 0.1, 0b101: 0.1, 0b110: math.nan}, 0b111, None, 0.5),
+            ({}, 0b1, math.nan, 0.5),
+            ({}, 0b10, 0.3, math.nan),
+        ],
+    )
+    def test_frechet_bounds_rejects_it(self, known, target, p, frame_prob):
+        with pytest.raises(ko.ParameterRangeError, match="NaN"):
+            ko.frechet_bounds(known, target, p, frame_prob)
+
+    def test_kor2_rejects_a_nan_intersection(self):
+        with pytest.raises(ko.ParameterRangeError, match="p_xy"):
+            ko.kor2(0.5, 0.4, math.nan)

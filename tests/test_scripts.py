@@ -30,3 +30,19 @@ def test_kor_sweep_writes_one_row_per_grid_point(tmp_path):
     for row in rows[1:]:
         cells = [float(v) for v in row[6:]]
         assert min(cells) >= 0.0 and abs(sum(cells) - 1.0) <= 1e-12
+
+
+def test_export_pair_maps_writes_one_row_per_grid_point(tmp_path):
+    proc = run_script(
+        "export_pair_maps.py", "--resolution", "3", "--out", str(tmp_path),
+        "--families", "frank_4", "conjugated_sine15",
+    )
+    assert proc.returncode == 0, proc.stderr
+    for key in ("frank_4", "conjugated_sine15"):
+        with open(tmp_path / f"{key}.csv", encoding="utf-8", newline="") as fp:
+            rows = list(csv.reader(fp))
+        assert rows[0] == ["w_x", "w_y", "v_none", "v_x", "v_y", "v_xy"]
+        assert len(rows) == 1 + 9
+        for row in rows[1:]:
+            cells = [float(v) for v in row[2:]]
+            assert min(cells) >= 0.0 and abs(sum(cells) - 1.0) <= 1e-12
