@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
@@ -48,10 +49,12 @@ from .frame import FrameParams, frechet_bounds, triplet_epd, build_nset_epd
 from .oracles import (
     naive_epd1_from_epd2,
     naive_epd2_from_epd1,
+    naive_epd_csv,
     naive_marginals,
     naive_renumber,
     product_epd1,
     recursive_frame_epd1,
+    reference_dump_json,
 )
 from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, sample_summary
@@ -170,12 +173,13 @@ def _load_epd_file(path: str) -> Epd1 | Epd2:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
+    """Hand ``write`` the output stream: the ``--out`` file, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            write(fp)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _guarded(fn: Callable[[], object]) -> object:
@@ -188,14 +192,10 @@ def _guarded(fn: Callable[[], object]) -> object:
         raise _CliFailure(EXIT_PARSE, str(exc)) from None
 
 
-def _epd_text(d: Epd1 | Epd2, fmt: str) -> str:
+def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
     if fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        write_epd_csv(d, buf)
-        return buf.getvalue()
-    return dump_json(epd_to_dict(d))
+        return functools.partial(write_epd_csv, d)
+    return functools.partial(dump_json, epd_to_dict(d))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _epd_text(d: Epd1 | Epd2, fmt: str) -> str:
 def _cmd_build(args: argparse.Namespace) -> int:
     cfg = _read_config(args.config)
     d = _guarded(lambda: build_from_config(cfg))
-    _emit(_epd_text(d, args.format), args.out)
+    _emit(_epd_writer(d, args.format), args.out)
     return EXIT_OK
 
 
@@ -235,7 +235,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         )
     if skipped:
         print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lambda fp: fp.write("\n".join(lines) + "\n"), args.out)
     return EXIT_OK
 
 
@@ -245,7 +245,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise _CliFailure(EXIT_PARSE, "sampling needs a first-kind table (kind 'epd1')")
     spec = _guarded(lambda: SampleSpec(args.n, args.seed))
     summary = _guarded(lambda: sample_summary(d, spec))
-    _emit(dump_json(summary), args.out)
+    _emit(functools.partial(dump_json, summary), args.out)
     return EXIT_OK
 
 
@@ -260,7 +260,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_mobius(args: argparse.Namespace) -> int:
     d = _load_epd_file(args.config)
     out = _guarded(lambda: epd2_from_epd1(d) if isinstance(d, Epd1) else epd1_from_epd2(d))
-    _emit(_epd_text(out, args.format), args.out)
+    _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
 
 
@@ -274,7 +274,7 @@ def _cmd_renumber(args: argparse.Namespace) -> int:
     except ValueError:
         keep = _guarded(lambda: d.context.mask_from_label(text))
     out = _guarded(lambda: renumber_epd1(d, keep))
-    _emit(_epd_text(out, args.format), args.out)
+    _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
 
 
@@ -286,10 +286,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     ctx = EventSetContext(n)
     size = ctx.size
-    checks: list[tuple[str, float]] = []
+    checks: list[tuple[str, float, str]] = []
 
-    def track(name: str, diff: float) -> None:
-        checks.append((name, float(diff)))
+    def track(name: str, diff: float, text: str = "") -> None:
+        checks.append((name, float(diff), text or f"max |diff| = {diff:.3e}"))
 
     worst = 0.0
     diff = 0.0
@@ -377,10 +377,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         diff = max(diff, float(np.max(np.abs(fast.values - d1.values))))
     track("frame build: Möbius vs recursive reference", diff)
 
+    differ = 0
+    for m in range(1, n + 1):  # one table per event count: the text logic is not random
+        v = rng.random(1 << m)
+        d1 = Epd1(EventSetContext(m), v / v.sum())
+        summary = sample_summary(d1, SampleSpec(4 << m, seed=m))
+        for doc in (epd_to_dict(d1), epd_to_dict(epd2_from_epd1(d1)), summary):
+            differ += dump_json(doc) != reference_dump_json(doc)
+        fast, slow = io.StringIO(), io.StringIO()
+        write_epd_csv(d1, fast)
+        naive_epd_csv(d1, slow)
+        differ += fast.getvalue() != slow.getvalue()
+    track("table text: one-pass writers vs reference encoders", differ,
+          f"{differ} of {4 * n} documents differ")
+
     lines = [f"oracle cross-checks: n = {n}, trials = {trials}, seed = {args.seed}"]
-    for name, value in checks:
+    for name, value, text in checks:
         worst = max(worst, value)
-        lines.append(f"  {name}: max |diff| = {value:.3e}")
+        lines.append(f"  {name}: {text}")
     verdict = "agree" if worst <= args.tol else "DISAGREE"
     lines.append(f"kernels {verdict} within {args.tol:g} (worst {worst:.3e})")
     print("\n".join(lines))

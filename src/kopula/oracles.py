@@ -2,14 +2,16 @@
 
 Everything here is deliberately slow and obvious: plain double loops
 over subset pairs, no tensor tricks.  The fast paths in ``core``,
-``phenomena`` and ``frame`` are tested against these on small N, and
-the ``oracle`` CLI subcommand cross-checks them at runtime.
+``phenomena``, ``frame`` and ``serialize`` are tested against these on
+small N, and the ``oracle`` CLI subcommand cross-checks them at runtime.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
+from typing import IO
 
 import numpy as np
 
@@ -27,6 +29,8 @@ __all__ = [
     "recursive_frame_epd1",
     "naive_interval_walk",
     "pointwise_grid",
+    "reference_dump_json",
+    "naive_epd_csv",
 ]
 
 
@@ -221,3 +225,15 @@ def pointwise_grid(
             + ",".join(repr(float(v)) for v in values)
         )
     return rows, notes
+
+
+def reference_dump_json(obj) -> str:
+    """Canonical JSON text by the standard library's indented encoder, value by value."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def naive_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
+    """CSV export one row at a time, each subset named by ``mask_label``."""
+    fp.write("mask,subset_labels,value\n")
+    for mask in range(d.context.size):
+        fp.write(f"{mask},{d.context.mask_label(mask)},{float(d.values[mask])!r}\n")

@@ -28,12 +28,8 @@ class SampleSpec:
             raise ParameterRangeError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
-def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
-    """Draw occurrence-pattern masks, distributed per the table.
-
-    Inverse-CDF draws from one PCG64 stream; a fixed seed fixes the
-    output exactly.
-    """
+def _draw(d: Epd1, spec: SampleSpec, ascending: bool) -> np.ndarray:
+    """Inverse-CDF masks of the spec's PCG64 uniforms, in draw order or ascending."""
     report = validate_epd1(d)
     if not report.ok:
         raise InvalidDistributionError(f"refusing to sample: {report.describe()}")
@@ -41,29 +37,39 @@ def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     u = rng.random(spec.n_samples)
-    masks = np.searchsorted(cdf, u, side="right")
-    return np.minimum(masks, d.context.size - 1).astype(np.int64)
+    if ascending:
+        u.sort()  # sorted keys keep the binary searches in cache
+    return np.minimum(np.searchsorted(cdf, u, side="right"), d.context.size - 1)
+
+
+def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
+    """Draw occurrence-pattern masks, distributed per the table.
+
+    Inverse-CDF draws from one PCG64 stream; a fixed seed fixes the
+    output exactly.
+    """
+    return _draw(d, spec, ascending=False).astype(np.int64)
 
 
 def sample_summary(d: Epd1, spec: SampleSpec) -> dict:
     """Empirical terrace frequencies and marginals, with standard errors.
 
     Plain-python values throughout so the dict serializes to identical
-    bytes on reruns (keys sorted at dump time).
+    bytes on reruns (keys sorted at dump time).  The counts ignore draw
+    order, so the uniforms are looked up in ascending order; the
+    marginals are exact integer sums of the counts.
     """
-    masks = sample_epd1(d, spec)
     n = d.context.n_events
-    counts = np.bincount(masks, minlength=d.context.size)
-    freq = counts / spec.n_samples
-    marg = [float(((masks >> k) & 1).mean()) for k in range(n)]
-    se = [float(np.sqrt(m * (1.0 - m) / spec.n_samples)) for m in marg]
+    counts = np.bincount(_draw(d, spec, ascending=True), minlength=d.context.size)
+    cube = counts.reshape((2,) * n)  # axis n-1-k is event k
+    marg = np.array([cube.take(1, axis=n - 1 - k).sum() for k in range(n)]) / spec.n_samples
     return {
         "n_events": n,
         "n_samples": spec.n_samples,
         "seed": spec.seed,
         "labels": list(d.context.labels),
-        "counts": [int(c) for c in counts],
-        "frequencies": [float(f) for f in freq],
-        "marginals": marg,
-        "marginal_se": se,
+        "counts": counts.tolist(),
+        "frequencies": (counts / spec.n_samples).tolist(),
+        "marginals": marg.tolist(),
+        "marginal_se": np.sqrt(marg * (1.0 - marg) / spec.n_samples).tolist(),
     }

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import IO, Mapping
 
 import numpy as np
@@ -72,12 +73,96 @@ class ConfigError(KopulaError, ValueError):
     """A config document is structurally wrong or missing required keys."""
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
 def dump_json(obj, fp: IO[str] | None = None) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    (``oracles.reference_dump_json``), but a list holding only plain ints
+    and floats, such as a table's values, is written by the C encoder in
+    one call instead of value by value.
+    """
+    text = _json_text(obj, "\n") + "\n"
     if fp is not None:
         fp.write(text)
     return text
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as the indented reference encoder writes it after ``newline`` (break + indent)."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) <= _PLAIN_NUMBERS:  # no int or float repr holds ", "
+            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join([_json_text(v, inner) for v in obj])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # the reference's string encoder
+    return json.dumps(obj)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # written as a string of its JSON text
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# ---------------------------------------------------------------------------
+# typed readers: every scalar or list field of a table or config goes
+# through one of these, so a wrong JSON type is a ConfigError
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_number(value, what: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if _is_number(value):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            return float(value)
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _read_int(value, what: str) -> int:
+    """A JSON integer (not a bool, not a float such as 1.5 or 2.0)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _read_numbers(values, what: str) -> list:
+    """A list of JSON numbers, returned as it is for numpy to convert in one pass."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    if not set(map(type, values)) <= _PLAIN_NUMBERS:  # one C pass decides the common case
+        for k, v in enumerate(values):
+            if not _is_number(v):
+                raise ConfigError(f"{what}[{k}] must be a number, got {v!r}")
+    return values
+
+
+def _read_labels(obj: Mapping, what: str) -> tuple[str, ...]:
+    """The optional 'labels' list of strings; empty means the default names."""
+    labels = obj.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ConfigError(f"{what} 'labels' must be a list of strings, got {labels!r}")
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +174,28 @@ def epd_to_dict(d: Epd1 | Epd2) -> dict:
         "kind": "epd1" if isinstance(d, Epd1) else "epd2",
         "n": d.context.n_events,
         "labels": list(d.context.labels),
-        "values": [float(v) for v in d.values],
+        "values": d.values.tolist(),
     }
 
 
 def epd_from_dict(obj: Mapping) -> Epd1 | Epd2:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"table document must be an object, got {type(obj).__name__}")
     try:
         kind = obj["kind"]
         n = obj["n"]
         values = obj["values"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"table document is missing {exc}") from None
     if kind not in ("epd1", "epd2"):
         raise ConfigError(f"unknown table kind {kind!r}")
-    labels = tuple(obj.get("labels", ()))
-    ctx = EventSetContext(int(n), labels)
-    if kind == "epd1":
-        d = Epd1(ctx, np.asarray(values, dtype=np.float64))
-        report = validate_epd1(d)
-    else:
-        d = Epd2(ctx, np.asarray(values, dtype=np.float64))
-        report = validate_epd2(d)
+    ctx = EventSetContext(_read_int(n, "table 'n'"), _read_labels(obj, "table"))
+    cls, check = (Epd1, validate_epd1) if kind == "epd1" else (Epd2, validate_epd2)
+    try:
+        d = cls(ctx, _read_numbers(values, "table 'values'"))  # the one float64 copy
+    except OverflowError:
+        raise ConfigError("table 'values' holds an integer beyond float range") from None
+    report = check(d)
     if not report.ok:
         raise InvalidDistributionError(report.describe())
     return d
@@ -127,10 +213,28 @@ def load_epd(fp: IO[str]) -> Epd1 | Epd2:
     return epd_from_dict(obj)
 
 
+_CSV_BLOCK_EVENTS = 12  # rows are labelled and written 2^12 at a time
+
+
 def write_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
+    """One ``mask,subset_labels,value`` row per subset, in mask order.
+
+    The text is that of ``oracles.naive_epd_csv``: ``mask_label`` of each
+    mask and the shortest round-trip repr of its value.  The labels of
+    the low 12 events are built once by doubling; each block of 2^12 rows
+    adds its high events' label and goes to ``fp`` in one write.
+    """
+    ctx = d.context
+    low = [""]
+    for name in ctx.labels[:_CSV_BLOCK_EVENTS]:
+        low += [f"{s}&{name}" if s else name for s in low]
     fp.write("mask,subset_labels,value\n")
-    for mask in range(d.context.size):
-        fp.write(f"{mask},{d.context.mask_label(mask)},{float(d.values[mask])!r}\n")
+    block = len(low)
+    for start in range(0, ctx.size, block):
+        high = ctx.mask_label(start)
+        labels = [f"{s}&{high}" if s else high for s in low] if high else low
+        rows = zip(range(start, start + block), labels, d.values[start:start + block].tolist())
+        fp.write("".join([f"{m},{lab},{v!r}\n" for m, lab, v in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +247,9 @@ def _weight_from_config(obj, what: str):
     if isinstance(obj, Mapping):
         kind = obj.get("kind")
         if kind == "constant":
-            return constant_weight(float(obj.get("value", 0.0)))
+            return constant_weight(_read_number(obj.get("value", 0.0), f"{what} 'value'"))
         if kind == "sine_diff":
-            return sine_diff_weight(float(obj.get("scale", 15.0)))
+            return sine_diff_weight(_read_number(obj.get("scale", 15.0), f"{what} 'scale'"))
         raise ConfigError(f"{what}: unknown weight kind {kind!r}")
     raise ConfigError(f"{what}: expected a number or a weight object, got {obj!r}")
 
@@ -166,8 +270,8 @@ def family_from_config(obj: Mapping) -> KopulaFamily:
     name = name.strip().lower()
 
     if name == "independent":
-        labels = tuple(obj.get("labels", ()))
-        n = int(obj.get("n", len(labels) or 0))
+        labels = _read_labels(obj, "independent family")
+        n = _read_int(obj.get("n", len(labels)), "independent family 'n'")
         if n < 1:
             raise ConfigError("independent family needs 'n' or 'labels'")
         return independent_kopula(EventSetContext(n, labels))
@@ -180,7 +284,7 @@ def family_from_config(obj: Mapping) -> KopulaFamily:
     if name in CLASSICAL_FAMILIES:
         if "theta" not in obj:
             raise ConfigError(f"{name} family needs 'theta'")
-        pf = classical_pair_param(name, float(obj["theta"]))
+        pf = classical_pair_param(name, _read_number(obj["theta"], f"{name} family 'theta'"))
         return parametric_2kopula(
             pf, f"{name}({pf.theta:g})", params={"theta": pf.theta}
         )
@@ -195,7 +299,7 @@ def family_from_config(obj: Mapping) -> KopulaFamily:
             raise ConfigError("convex family needs 'parts' and 'weights' lists")
         return convex_combination(
             [family_from_config(part) for part in parts],
-            [float(w) for w in weights],
+            [_read_number(w, f"convex weights[{k}]") for k, w in enumerate(weights)],
         )
     raise ConfigError(f"unknown family {name!r}")
 
@@ -208,9 +312,10 @@ def _marginals_from_config(obj: Mapping) -> MarginalSet:
     probs = obj.get("marginals")
     if not isinstance(probs, list) or not probs:
         raise ConfigError("build config needs a non-empty 'marginals' list")
-    labels = tuple(obj.get("labels", ()))
-    ctx = EventSetContext(len(probs), labels)
-    return MarginalSet.from_values(ctx, [float(v) for v in probs])
+    ctx = EventSetContext(len(probs), _read_labels(obj, "build config"))
+    return MarginalSet.from_values(
+        ctx, [_read_number(v, f"marginals[{k}]") for k, v in enumerate(probs)]
+    )
 
 
 def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
@@ -226,8 +331,8 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             values = np.fromiter(named.values(), np.float64, len(named))
     if values is None or not np.isfinite(values).all():
-        label = next(k for k, v in named.items() if isinstance(v, bool)
-                     or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max)
+        label = next(k for k, v in named.items()
+                     if not _is_number(v) or not abs(v) <= sys.float_info.max)
         raise ConfigError(
             f"frame_params[{label!r}] must be a finite number, got {named[label]!r}"
         )
@@ -292,10 +397,7 @@ def build_from_config(obj: Mapping) -> Epd1:
         raise ConfigError(f"'kor' is missing {missing}")
     params = params_from_kor3(
         p,
-        float(kor["xy"]),
-        float(kor["xz"]),
-        float(kor["in"]),
-        float(kor["out"]),
-        modification=int(obj.get("modification", 1)),
+        *(_read_number(kor[key], f"kor {key!r}") for key in ("xy", "xz", "in", "out")),
+        modification=_read_int(obj.get("modification", 1), "'modification'"),
     )
     return triplet_epd(p, params)
