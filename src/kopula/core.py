@@ -26,16 +26,22 @@ Conventions used across the package:
 
 * masks are plain ints; ``mask & (1 << k)`` tests event k,
 * value arrays are float64 and frozen (non-writeable) once stored,
-* normalization and nonnegativity are checked against 1e-9, superset
-  monotonicity against 1e-12,
-* negative float dust in (-1e-9, 0) produced by linear recombination
-  is clamped to zero with a RuntimeWarning; anything below -1e-9 is a
-  hard error naming the offending subset,
-* contexts cap N at 24 so masks stay cheap and arrays addressable.
+* contexts cap N at 24 so masks stay cheap and arrays addressable,
+* each kind of tolerance is one constant here: ``SUM_ATOL`` = 1e-9 for
+  total mass (a table, a slice); ``VALUE_ATOL`` = 1e-9 for one value (a
+  cell below 0, a value outside its window, an inverted window);
+  ``MONOTONE_ATOL`` = 1e-12 for superset monotonicity; ``_UNIT_SNAP`` =
+  1e-12 for dust outside a unit range ([0, 1], [-1, 1], a weight sum of
+  1); ``_COV_EPS`` = 1e-12 for a covariance, or the room beside its
+  baseline, that counts as zero; ``_MASS_EPS`` = 1e-15 for a cell too
+  light to condition on,
+* first-kind cells in (-VALUE_ATOL, 0) are clamped to 0 with one
+  RuntimeWarning by ``clean_negative_dust`` alone; a lower cell is an error.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,13 +81,13 @@ __all__ = [
 
 MAX_EVENTS = 24
 
-# Structural tolerance: normalization, nonnegativity, bound membership.
+# The tolerances, one per kind; the module docstring says what each covers.
 SUM_ATOL = 1e-9
 VALUE_ATOL = 1e-9
-# Slack for superset monotonicity of second-kind tables.
 MONOTONE_ATOL = 1e-12
-# Float dust this close outside [0, 1] is snapped onto the bound.
 _UNIT_SNAP = 1e-12
+_COV_EPS = 1e-12
+_MASS_EPS = 1e-15
 
 _LABEL_FORBIDDEN = set("&, \t\n")
 
@@ -291,8 +297,9 @@ class MarginalSet:
 # the two distribution kinds
 
 
-def _frozen_values(values, size: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+def _frozen_values(values, size: int, copy: bool = True) -> np.ndarray:
+    """Flat, read-only, finite float64 values; ``copy=False`` adopts a fresh float64 array."""
+    arr = (np.array(values, dtype=np.float64) if copy else values).reshape(-1)
     if arr.shape != (size,):
         raise ContextError(f"expected {size} values, got shape {np.shape(values)}")
     if not np.isfinite(arr).all():
@@ -315,6 +322,14 @@ class Epd1:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen_values(self.values, self.context.size))
+
+    @classmethod
+    def _adopt(cls, context: EventSetContext, values: np.ndarray) -> "Epd1":
+        """The constructor without its copy, for a fresh float64 array nothing else holds."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "context", context)
+        object.__setattr__(d, "values", _frozen_values(values, context.size, copy=False))
+        return d
 
     @property
     def n_events(self) -> int:
@@ -342,23 +357,34 @@ class Epd2:
         return float(self.values[self.context.check_mask(mask)])
 
 
-def clean_negative_dust(raw: np.ndarray, context: EventSetContext, where: str) -> np.ndarray:
-    """Clamp float dust in (-VALUE_ATOL, 0); reject anything more negative."""
+def clean_negative_dust(
+    raw: np.ndarray, context: EventSetContext, where: str, error: type = InvalidDistributionError
+) -> np.ndarray:
+    """Clamp first-kind cells in (-VALUE_ATOL, 0) to 0 in place, with one warning;
+    a cell further below raises ``error``, the class its caller's exit code needs."""
     worst = int(np.argmin(raw))
     if raw[worst] < -VALUE_ATOL:
-        raise InvalidDistributionError(
-            f"{where}: value {raw[worst]:.3e} at subset "
-            f"{{{context.mask_label(worst)}}} (index {worst}) is negative"
+        raise error(
+            f"{where}: the inputs drive the cell {{{context.mask_label(worst)}}} "
+            f"(index {worst}) to {raw[worst]:.6e}, below -{VALUE_ATOL:g}"
         )
     neg = raw < 0.0
     if neg.any():
         warnings.warn(
-            f"{where}: clamped {int(neg.sum())} slightly negative value(s) to 0",
+            f"{where}: clamped {int(neg.sum())} slightly negative cell(s) to 0",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
-        raw = np.where(neg, 0.0, raw)
+        raw[neg] = 0.0
     return raw
+
+
+def _outside_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for its caller, of the first frame outside kopula."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +426,7 @@ def epd1_from_epd2(d: Epd2) -> Epd1:
     nonnegative table) surfaces here as a negative output entry.
     """
     raw = _superset_mobius(d.values, d.n_events)
-    raw = clean_negative_dust(raw, d.context, "epd1_from_epd2")
-    return Epd1(d.context, raw)
+    return Epd1._adopt(d.context, clean_negative_dust(raw, d.context, "epd1_from_epd2"))
 
 
 def marginals(d: Epd1 | Epd2) -> MarginalSet:

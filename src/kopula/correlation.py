@@ -30,9 +30,12 @@ from .core import (
     MarginalSet,
     ParameterRangeError,
     UndefinedCorrelationError,
+    VALUE_ATOL,
+    _COV_EPS,
+    _UNIT_SNAP,
     clean_unit_interval,
 )
-from .frame import FrameParams, FrechetInterval, frechet_bounds
+from .frame import FrameParams, FrechetInterval, _require_ordered_half_rare, frechet_bounds
 
 __all__ = [
     "KovBounds",
@@ -62,26 +65,22 @@ def _unit_pair(a: float, b: float, names: tuple[str, str]) -> list[float]:
 
 def _check_kor(kor: float) -> float:
     k = float(kor)
-    if not abs(k) <= 1.0 + 1e-12:  # NaN fails too
+    if not abs(k) <= 1.0 + _UNIT_SNAP:  # NaN fails too
         raise ParameterRangeError(f"correlation {kor!r} outside [-1, 1]")
     return min(1.0, max(-1.0, k))
-
-
-def _pair_window(p_x: float, p_y: float) -> FrechetInterval:
-    return frechet_bounds({}, 0b1, p_y, p_x)
 
 
 def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     """Correlation coordinate of a pair intersection probability.
 
-    p_xy may stray up to 1e-9 beyond its window (it is pulled back in);
+    p_xy may stray up to VALUE_ATOL beyond its window (it is pulled back in);
     further out is rejected.  A zero covariance maps to 0 even when a
     window side has no room.
     """
     p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
     if p_xy != p_xy:  # NaN: no window contains it, but it is not infeasible either
         raise ParameterRangeError(f"p_xy = {p_xy!r} is not a number")
-    window = _pair_window(p_x, p_y)
+    window = frechet_bounds({}, 0b1, p_y, p_x)
     if not window.contains(p_xy):
         raise InfeasibleParameterError(
             f"p_xy = {p_xy!r} outside its window [{window.lower!r}, {window.upper!r}]"
@@ -90,21 +89,17 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     # covariance from the raw value: clamping into a collapsed window
     # would inject one-ulp dust and turn a zero covariance into kor 1
     kov = float(p_xy) - prod
-    if abs(kov) <= 1e-12:
+    if abs(kov) <= _COV_EPS:
         return 0.0
     if kov < 0.0:
-        room = prod - window.lower
-        if room <= 1e-12:
-            raise UndefinedCorrelationError(
-                f"negative covariance {kov!r} with no room below the product"
-            )
-        return max(-1.0, kov / room)
-    room = window.upper - prod
-    if room <= 1e-12:
+        room, sign, side = prod - window.lower, "negative", "below"
+    else:
+        room, sign, side = window.upper - prod, "positive", "above"
+    if room <= _COV_EPS:
         raise UndefinedCorrelationError(
-            f"positive covariance {kov!r} with no room above the product"
+            f"{sign} covariance {kov!r} with no room {side} the product"
         )
-    return min(1.0, kov / room)
+    return max(-1.0, min(1.0, kov / room))
 
 
 def pxy_from_kor2(p_x: float, p_y: float, kor: float) -> float:
@@ -118,13 +113,13 @@ def pxy_from_kor2(p_x: float, p_y: float, kor: float) -> float:
 
 
 def _pair_value(p_x: float, p_y: float, kor: float) -> float:
-    window = _pair_window(p_x, p_y)
-    prod = p_x * p_y
-    if kor < 0.0:
-        raw = prod + kor * (prod - window.lower)
-    else:
-        raw = prod + kor * (window.upper - prod)
-    return window.clamp(raw)
+    window, prod = frechet_bounds({}, 0b1, p_y, p_x), p_x * p_y
+    return window.clamp(_move(prod, kor, window.lower - prod, window.upper - prod))
+
+
+def _move(anchor: float, kor: float, minus: float, plus: float) -> float:
+    """``anchor`` moved |kor| of the way along its room: ``minus`` if kor < 0, else ``plus``."""
+    return anchor - kor * minus if kor < 0.0 else anchor + kor * plus
 
 
 def _triple_setting(
@@ -137,18 +132,12 @@ def _triple_setting(
         )
     px, py, pz = p.probs
     if mode == "frame":
-        raw = px * py * pz
-        known = {0b01: pair_xy, 0b10: pair_xz}
-        window = frechet_bounds(known, 0b11, None, px)
+        mass, facets = px, {0b01: pair_xy, 0b10: pair_xz}
     elif mode == "complement":
-        raw = (1.0 - px) * py * pz
-        known = {0b01: py - pair_xy, 0b10: pz - pair_xz}
-        window = frechet_bounds(known, 0b11, None, 1.0 - px)
+        mass, facets = 1.0 - px, {0b01: py - pair_xy, 0b10: pz - pair_xz}
     else:
-        raise ParameterRangeError(
-            f"mode must be 'frame' or 'complement', got {mode!r}"
-        )
-    return raw, window
+        raise ParameterRangeError(f"mode must be 'frame' or 'complement', got {mode!r}")
+    return mass * py * pz, frechet_bounds(facets, 0b11, None, mass)
 
 
 def inserted_triple_kov_bounds(
@@ -163,13 +152,17 @@ def inserted_triple_kov_bounds(
     """
     pair_xy, pair_xz = _unit_pair(pair_xy, pair_xz, ("pair_xy", "pair_xz"))
     raw, window = _triple_setting(mode, p, pair_xy, pair_xz)
-    if raw < window.lower:
-        kb = KovBounds(window.lower - raw, window.lower - raw)
-    elif raw > window.upper:
-        kb = KovBounds(window.upper - raw, window.upper - raw)
-    else:
-        kb = KovBounds(window.lower - raw, window.upper - raw)
-    return window.clamp(raw), kb
+    return window.clamp(raw), KovBounds(*_kov_room(raw, window))
+
+
+def _kov_room(raw: float, window: FrechetInterval) -> tuple[float, float]:
+    """Offsets from ``raw`` to the window ends, collapsed onto the near end if outside."""
+    lo, up = window.lower - raw, window.upper - raw
+    if lo > 0.0:
+        up = lo
+    elif up < 0.0:
+        lo = up
+    return lo, up
 
 
 def _pick_inserted(
@@ -177,25 +170,16 @@ def _pick_inserted(
 ) -> float:
     """Resolve one triple value from its correlation coordinate."""
     kor = _check_kor(kor)
-    inside = window.lower <= raw <= window.upper
-    if modification == 1 or inside:
-        if raw < window.lower:
-            lo = hi = window.lower - raw
-        elif raw > window.upper:
-            lo = hi = window.upper - raw
-        else:
-            lo, hi = window.lower - raw, window.upper - raw
-        t = raw - kor * lo if kor < 0.0 else raw + kor * hi
-        return window.clamp(t)
+    if modification == 1 or window.lower <= raw <= window.upper:
+        return window.clamp(_move(raw, kor, *_kov_room(raw, window)))
     # second convention: relocate the anchor inside the window
     den = window.upper + window.lower - 2.0 * raw
-    if abs(den) < 1e-9:
+    if abs(den) < VALUE_ATOL:
         # degenerate window right at the baseline; endpoint rule applies
         edge = window.lower if raw < window.lower else window.upper
         return window.clamp(edge)
     p0 = window.lower + (window.lower - raw) * window.width / den
-    t = p0 - kor * (window.lower - p0) if kor < 0.0 else p0 + kor * (window.upper - p0)
-    return window.clamp(t)
+    return window.clamp(_move(p0, kor, window.lower - p0, window.upper - p0))
 
 
 def params_from_kor3(
@@ -216,14 +200,7 @@ def params_from_kor3(
     """
     if modification not in (1, 2):
         raise ParameterRangeError(f"modification must be 1 or 2, got {modification}")
-    probs = [float(v) for v in p.probs]
-    if p.context.n_events != 3:
-        raise ParameterRangeError(f"need exactly 3 events, got {p.context.n_events}")
-    if max(probs) > 0.5 or not probs == sorted(probs, reverse=True):
-        raise ParameterRangeError(
-            "params_from_kor3 needs ordered half-rare marginals (largest first)"
-        )
-    px, py, pz = probs
+    px, py, pz = _require_ordered_half_rare(p, 3, "params_from_kor3")
     # the marginals are clean already, and the pair values land in their windows
     a1 = _pair_value(px, py, _check_kor(kor_xy))
     a2 = _pair_value(px, pz, _check_kor(kor_xz))

@@ -45,6 +45,7 @@ from .core import (
     MarginalSet,
     ParameterRangeError,
     VALUE_ATOL,
+    _UNIT_SNAP,
 )
 
 __all__ = [
@@ -414,9 +415,11 @@ def convex_combination(
     for k in ks[1:]:
         ctx.require_same(k.context, "convex_combination")
     w = tuple(float(v) for v in weights)
-    if min(w) < -1e-12:
+    if not all(np.isfinite(w)):
+        raise ParameterRangeError(f"mixture weights must be finite, got {list(w)}")
+    if min(w) < -_UNIT_SNAP:
         raise ParameterRangeError(f"negative mixture weight {min(w)}")
-    if abs(sum(w) - 1.0) > 1e-12:
+    if abs(sum(w) - 1.0) > _UNIT_SNAP:
         raise ParameterRangeError(f"mixture weights sum to {sum(w)!r}, not 1")
     parts = tuple(ks)
 
@@ -441,6 +444,8 @@ def constant_weight(value: float) -> WeightFn:
 def sine_diff_weight(scale: float = 15.0) -> WeightFn:
     """Oscillating weight sin(scale * (a - b)) of the sorted folded pair."""
     s = float(scale)
+    if not np.isfinite(s):
+        raise ParameterRangeError(f"sine_diff scale must be finite, got {s!r}")
 
     def alpha(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.sin(s * (a - b))
@@ -453,7 +458,7 @@ def _weight_array(alpha: WeightFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         arr = np.asarray(alpha(a, b), dtype=np.float64)
         arr = np.broadcast_to(arr, a.shape)
         worst = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if worst > 1.0 + 1e-12:
+        if worst > 1.0 + _UNIT_SNAP:
             raise ParameterRangeError(
                 f"weight function left [-1, 1]: max magnitude {worst}"
             )
@@ -545,9 +550,13 @@ def _amh_fn(theta: float) -> PairFn:
 
 def _clayton_fn(theta: float) -> PairFn:
     def f(a, b):
-        with np.errstate(divide="ignore"):
-            inner = np.maximum(a ** (-theta) + b ** (-theta) - 1.0, 0.0)
-            return inner ** (-1.0 / theta)
+        if theta < 0.0:
+            return np.maximum(a ** (-theta) + b ** (-theta) - 1.0, 0.0) ** (-1.0 / theta)
+        # a (1 + (a/b)^theta - a^theta)^(-1/theta) with a <= b: no power
+        # exceeds 1 and the bracket is at least 1, so no theta overflows
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ratio = np.divide(lo, hi, out=np.zeros(np.shape(lo)), where=hi > 0.0)
+        return lo * (1.0 + ratio**theta - lo**theta) ** (-1.0 / theta)
 
     return f
 

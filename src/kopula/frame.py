@@ -15,24 +15,26 @@ So a full table over n events is determined by the per-event
 probabilities plus one intersection probability per subset of size >= 2,
 applied recursively.  The table the recursion reaches is the unique one
 whose intersections are the given ones: the superset Möbius inverse of
-the completed intersection table.  ``build_nset_epd`` (any marginal
-point), ``triplet_epd`` and ``quadruplet_epd`` (ordered half-rare
-triples and quadruples) compute it that way; the recursion itself is
-kept as the reference ``oracles.recursive_frame_epd1``.
+the completed intersection table.  The recursion itself is kept as the
+reference ``oracles.recursive_frame_epd1``.
 
 The intersections live in one dense array indexed by subset mask, NaN
-where nothing is supplied (``FrameParams.table``); the sort and the fold
-of ``build_nset_epd`` are a transpose and a flip of its tensor view.
+where nothing is supplied (``FrameParams.table``).  Feasibility is a
+chain of Fréchet windows: an intersection with k facets in a slice of
+mass m lies in [max(0, sum of facets - (k-1) m), min of facets]
+(``frechet_bounds``); a window inverted by at most VALUE_ATOL collapses
+to its midpoint, by more it is empty.
 
-Feasibility of the intersection table is a chain of interval
-constraints: given its facet values, each intersection must lie inside
-a closed interval (``frechet_bounds``).  A walk of those intervals for
-the top-level frame split, in ascending subset size, runs under the
-"clamp" policy, and under "raise" when the inverse has a negative cell,
-so that the error names the first offending interval.  Every slack the
-walk checks is a nonnegative combination of cells, so a table without a
-negative cell passes it.  Anything infeasible deeper down surfaces as a
-negative cell in the final table and is rejected there.
+``build_nset_epd`` (any point), ``triplet_epd`` and ``quadruplet_epd``
+(ordered half-rare points) run one pipeline and differ only in the
+marginal check and the unfold: complete the intersection table, invert
+it, walk the windows of the top-level frame split if needed, unfold
+(the inverse sort and fold of ``build_nset_epd``, a transpose and flip
+of the tensor view), clamp the dust, check the total.  The walk runs
+under "clamp", and under "raise" when a cell is negative, so that the
+error names the first offending window; every slack it checks is a
+nonnegative combination of cells.  Anything infeasible deeper down is a
+negative cell, rejected by ``core.clean_negative_dust``, the one clamp.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ from .core import (
     MAX_EVENTS,
     MarginalSet,
     ParameterRangeError,
+    SUM_ATOL,
     VALUE_ATOL,
+    _MASS_EPS,
+    _outside_stacklevel,
     _superset_mobius,
+    clean_negative_dust,
     clean_unit_interval,
     mask_bits,
     validate_epd1,
@@ -79,8 +85,6 @@ __all__ = [
     "build_nset_epd",
     "full_probability_check",
 ]
-
-_MASS_EPS = 1e-15
 
 
 def _drop_event_context(ctx: EventSetContext, frame_events: int) -> EventSetContext:
@@ -214,15 +218,15 @@ def frame_compose(
 
     The frame event becomes bit 0 of the result; the slice events shift
     up one position.  ``p0`` must match the in-slice mass, and the two
-    masses must sum to 1 (both within 1e-9).
+    masses must sum to 1 (both within SUM_ATOL).
     """
     pseudo_in.context.require_same(pseudo_out.context, "frame_compose")
     m_in, m_out = pseudo_in.mass, pseudo_out.mass
-    if abs(m_in - p0) > 1e-9:
+    if abs(m_in - p0) > SUM_ATOL:
         raise CompositionError(
             f"in-slice mass {m_in!r} does not match the frame probability {p0!r}"
         )
-    if abs(m_in + m_out - 1.0) > 1e-9:
+    if abs(m_in + m_out - 1.0) > SUM_ATOL:
         raise CompositionError(f"slice masses sum to {m_in + m_out!r}, not 1")
     old = pseudo_in.context.labels
     if frame_label is None:
@@ -239,6 +243,23 @@ def frame_compose(
 # intersection parameters and their feasibility intervals
 
 
+def _inverted_window_rule(lo, up):
+    """(lower, upper, empty), elementwise: an inversion within VALUE_ATOL collapses
+    to the midpoint; a larger one leaves the window empty."""
+    inverted, mid = lo > up, 0.5 * (lo + up)
+    return np.where(inverted, mid, lo), np.where(inverted, mid, up), lo - up > VALUE_ATOL
+
+
+def _frechet_window(facets, mass):
+    """[max(0, sum(facets) - (k-1) mass), min(facets)] for k facets (floats or
+    arrays); a pair window has facets (p, frame mass) and mass 1.  A NaN
+    input gives a NaN lower end."""
+    lower = sum(facets) - (len(facets) - 1) * mass
+    if isinstance(lower, np.ndarray):
+        return np.maximum(0.0, lower), functools.reduce(np.minimum, facets)
+    return max(lower, 0.0), min(facets)  # builtins: no array round trip per scalar call
+
+
 @dataclass(frozen=True)
 class FrechetInterval:
     """Closed admissible interval for one intersection probability."""
@@ -248,12 +269,11 @@ class FrechetInterval:
 
     def __post_init__(self) -> None:
         lo, up = float(self.lower), float(self.upper)
-        if lo > up:
-            if lo - up > 1e-9:
-                raise InfeasibleParameterError(
-                    f"empty feasibility interval [{lo!r}, {up!r}]"
-                )
-            lo = up = 0.5 * (lo + up)
+        if lo > up:  # only an inverted window needs the rule
+            new_lo, new_up, empty = _inverted_window_rule(lo, up)
+            if empty:
+                raise InfeasibleParameterError(f"empty feasibility interval [{lo!r}, {up!r}]")
+            lo, up = float(new_lo), float(new_up)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
@@ -291,10 +311,9 @@ def frechet_bounds(
             raise DependencyError(
                 "single-event bounds need the event's own probability"
             )
-        facets = [p]
-        lower, upper = frame_prob + p - 1.0, min(frame_prob, p)
+        facets, mass = [p, frame_prob], 1.0
     else:
-        facets = []
+        facets, mass = [], frame_prob
         for b in bits:
             key = target & ~(1 << b)
             if key not in known:
@@ -302,12 +321,12 @@ def frechet_bounds(
                     f"facet value for submask {key:#b} of target {target:#b} not supplied"
                 )
             facets.append(float(known[key]))
-        lower, upper = sum(facets) - (len(facets) - 1) * frame_prob, min(facets)
-    if lower != lower:  # a NaN input, which max and min would silently drop
+    lower, upper = _frechet_window(facets, mass)
+    if lower != lower:  # a NaN input
         raise ParameterRangeError(
             f"NaN in the bounds of subset {target:#b}: values {facets}, frame mass {frame_prob!r}"
         )
-    return FrechetInterval(max(0.0, lower), upper)
+    return FrechetInterval(lower, upper)
 
 
 @functools.cache
@@ -440,13 +459,10 @@ class FrameParams:
 def _fit(value, lower, upper, policy: str) -> tuple[np.ndarray, np.ndarray]:
     """Clamp values into their windows and flag the ones that must raise.
 
-    As in ``FrechetInterval``, an inversion within 1e-9 collapses to its
-    midpoint and a larger one is empty.  Empty windows always fail;
-    under "raise" so does a value more than 1e-9 outside its window.
+    Empty windows always fail; under "raise" so does a value more than
+    VALUE_ATOL outside its window.
     """
-    inverted, mid = lower > upper, 0.5 * (lower + upper)
-    lo, up = np.where(inverted, mid, lower), np.where(inverted, mid, upper)
-    fail = lower - upper > 1e-9
+    lo, up, fail = _inverted_window_rule(lower, upper)
     if policy == "raise":
         fail |= (value < lo - VALUE_ATOL) | (value > up + VALUE_ATOL)
     return np.minimum(np.maximum(value, lo), up), fail
@@ -469,8 +485,8 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
     t[s] - t[s | 1], each with its ``frechet_bounds`` window.  A window
     reads only values one size down, so each size is one numpy pass, in
     ascending order; values are clamped in place.  An empty window, or
-    under "raise" a value beyond 1e-9 outside its window, raises for the
-    first offender in (size, mask) order, as ``oracles.naive_interval_walk``
+    under "raise" a value beyond VALUE_ATOL outside its window, raises for
+    the first offender in (size, mask) order, as ``oracles.naive_interval_walk``
     does; the clamps are summed up in one RuntimeWarning.
     """
     n = t.shape[0].bit_length() - 1
@@ -481,17 +497,17 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
     for k in range(1, n):
         s = rest[level == k]
         if k == 1:
-            windows = [("pair", np.maximum(0.0, p0 + t[s] - 1.0), np.minimum(p0, t[s]))]
+            windows = [("pair", *_frechet_window([t[s], p0], 1.0))]
         else:
-            windows = []
-            for side, mass in (("in", p0), ("out", 1.0 - p0)):
-                total, upper = np.zeros(s.size), np.full(s.size, np.inf)
-                for b in range(1, n):
-                    has, sub = ((s >> b) & 1).astype(bool), s & ~(1 << b)
-                    facet = t[sub | 1] if side == "in" else t[sub] - t[sub | 1]
-                    total += np.where(has, facet, 0.0)
-                    upper = np.where(has, np.minimum(upper, facet), upper)
-                windows.append((side, np.maximum(0.0, total - (k - 1) * mass), upper))
+            subs, left = [], s
+            for _ in range(k):  # the facets: s without each of its bits, lowest first
+                low = left & -left
+                subs.append(s ^ low)
+                left = left ^ low
+            ins = [t[sub | 1] for sub in subs]
+            outs = [t[sub] - f for sub, f in zip(subs, ins)]
+            windows = [("in", *_frechet_window(ins, p0)),
+                       ("out", *_frechet_window(outs, 1.0 - p0))]
         checks = []  # (side, value, fitted, fail, lower, upper)
         for side, lower, upper in windows:
             value = t[s] - checks[0][2] if side == "out" else t[s | 1]
@@ -522,26 +538,32 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
             f"the largest move ({gap:.3e}): {_interval_name(side, s)} = {value!r} "
             f"clamped into [{iv.lower!r}, {iv.upper!r}]",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=_outside_stacklevel(),
         )
 
 
-def _first_kind(t: np.ndarray, policy: str, who: str) -> np.ndarray:
-    """The table whose intersections are ``t``: its superset Möbius inverse.
+def _build(
+    ctx: EventSetContext, params: FrameParams, probs, policy: str, who: str, unfold=None
+) -> Epd1:
+    """Complete, invert, walk if needed, unfold, clamp the dust, check the total.
 
-    The interval walk runs only where it can change the outcome: under
-    "clamp", or when a cell is negative.  Every window slack it checks
-    is a nonnegative combination of these cells, so on a table without
-    a negative cell it could neither raise nor clamp beyond float dust.
+    The walk runs only where it can change the outcome: under "clamp", or on a negative cell.
     """
+    t = params.complete_table(probs)
     if policy not in ("raise", "clamp"):
         raise ParameterRangeError(f"policy must be 'raise' or 'clamp', got {policy!r}")
-    n = t.shape[0].bit_length() - 1
-    cells = _superset_mobius(t, n)
+    cells = _superset_mobius(t, params.n_events)
     if policy == "clamp" or cells.min() < 0.0:
         _walk_intervals(t, policy, who)
-        cells = _superset_mobius(t, n)
-    return cells
+        cells = _superset_mobius(t, params.n_events)
+    del t  # free the intersections before the unfold copies the cells
+    if unfold is not None:
+        cells = unfold(cells)
+    d = Epd1._adopt(ctx, clean_negative_dust(cells, ctx, who, InfeasibleParameterError))
+    report = validate_epd1(d)
+    if not report.ok:
+        raise InfeasibleParameterError(f"{who}: {report.describe()}")
+    return d
 
 
 def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> tuple[float, ...]:
@@ -563,9 +585,8 @@ def triplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> E
     cells are the Möbius inverse of the four parameters and the
     marginals.  ``policy`` is as for ``build_nset_epd``.
     """
-    t = params.complete_table(_require_ordered_half_rare(p, 3, "triplet_epd"))
-    cells = _first_kind(t, policy, "triplet_epd")
-    return _finish_table(cells, p.context, "triplet_epd")
+    probs = _require_ordered_half_rare(p, 3, "triplet_epd")
+    return _build(p.context, params, probs, policy, "triplet_epd")
 
 
 def quadruplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
@@ -575,31 +596,8 @@ def quadruplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -
     the sixteen cells are the Möbius inverse of the eleven parameters
     and the marginals.  ``policy`` is as for ``build_nset_epd``.
     """
-    t = params.complete_table(_require_ordered_half_rare(p, 4, "quadruplet_epd"))
-    cells = _first_kind(t, policy, "quadruplet_epd")
-    return _finish_table(cells, p.context, "quadruplet_epd")
-
-
-def _finish_table(raw: np.ndarray, ctx: EventSetContext, who: str) -> Epd1:
-    worst = int(np.argmin(raw))
-    if raw[worst] < -VALUE_ATOL:
-        raise InfeasibleParameterError(
-            f"{who}: parameters pass their top-level intervals but drive the cell "
-            f"{{{ctx.mask_label(worst)}}} to {raw[worst]:.6e}"
-        )
-    neg = raw < 0.0
-    if neg.any():
-        warnings.warn(
-            f"{who}: clamped {int(neg.sum())} slightly negative cell(s) to 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        raw = np.where(neg, 0.0, raw)
-    d = Epd1(ctx, raw)
-    report = validate_epd1(d)
-    if not report.ok:
-        raise InfeasibleParameterError(f"{who}: {report.describe()}")
-    return d
+    probs = _require_ordered_half_rare(p, 4, "quadruplet_epd")
+    return _build(p.context, params, probs, policy, "quadruplet_epd")
 
 
 def build_nset_epd(
@@ -616,19 +614,17 @@ def build_nset_epd(
 
     policy applies to the top-level interval walk, which runs under
     "clamp" and on a table with a negative cell: "raise" rejects
-    anything beyond 1e-9 outside its interval, "clamp" pulls every
+    anything beyond VALUE_ATOL outside its interval, "clamp" pulls every
     value in (with one warning that counts them).
     """
-    ctx = p.context
-    n = ctx.n_events
+    n = p.context.n_events
     if params.n_events != n:
         raise ParameterRangeError(
             f"params cover {params.n_events} events, marginal point has {n}"
         )
     proj = half_rare_projection(p)
     q = [proj.point.probs[k] for k in proj.permutation]
-    e_sorted = _first_kind(params.complete_table(q), policy, "build_nset_epd")
-    return _finish_table(proj.unsort_unfold(e_sorted), ctx, "build_nset_epd")
+    return _build(p.context, params, q, policy, "build_nset_epd", proj.unsort_unfold)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +665,7 @@ def full_probability_check(
     frame_events: int,
     conditionals: Sequence[Epd1] | None = None,
     frame_epd: Epd1 | None = None,
-    tol: float = 1e-9,
+    tol: float = SUM_ATOL,
 ) -> FullProbabilityReport:
     """Check a joint table against frame-cell masses and conditionals.
 

@@ -98,6 +98,31 @@ class TestBuild:
         assert "drive the cell" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "family, text",
+        [
+            ({"family": "convex", "parts": [{"family": "frechet_upper"}], "weights": [float("nan")]},
+             "weights must be finite"),
+            ({"family": "conjugated", "alpha": {"kind": "sine_diff", "scale": float("inf")}},
+             "scale must be finite"),
+        ],
+    )
+    def test_non_finite_family_setting_exit_1(self, tmp_path, capsys, family, text):
+        cfg = write_json(tmp_path / "cfg.json", {"marginals": [0.3, 0.2], **family})
+        assert run(["build", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert text in err
+        assert "Traceback" not in err
+
+    def test_clayton_at_huge_theta_is_the_upper_bound(self, tmp_path):
+        cfg = write_json(
+            tmp_path / "cfg.json", {"marginals": [0.3, 0.2], "family": "clayton", "theta": 1e308}
+        )
+        out = tmp_path / "table.json"
+        assert run(["build", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        np.testing.assert_allclose(doc["values"], [0.7, 0.1, 0.0, 0.2], atol=1e-15)
+
 
 class TestArgparseContract:
     def test_no_subcommand(self, capsys):

@@ -199,6 +199,12 @@ class TestClassicalPairFunctions:
         value = float(f(0.49, 0.5))
         assert 0.0 <= value <= 0.49
 
+    @pytest.mark.parametrize("theta", [50.0, 200.0, 1e6, 1e308])
+    def test_clayton_tends_to_the_minimum_at_large_theta(self, theta):
+        f = ko.classical_pair_param("clayton", theta).fn
+        assert f(0.01, 0.02) == pytest.approx(0.01, rel=1e-12)
+        assert f(np.array([0.0, 0.0]), np.array([0.0, 0.3])).tolist() == [0.0, 0.0]
+
     def test_theta_is_recorded(self):
         pf = ko.classical_pair_param("clayton", 2.5)
         assert pf.name == "clayton"

@@ -133,6 +133,23 @@ class TestVectorizedWalk:
             assert f_err[0] is ko.InfeasibleParameterError
             assert "empty feasibility interval" in f_err[1]
 
+    @pytest.mark.parametrize("inversion", [0.9e-9, 1.1e-9])
+    @pytest.mark.parametrize("policy", ["raise", "clamp"])
+    def test_inverted_windows_collapse_or_empty_alike(self, inversion, policy):
+        # a marginal just above 1 inverts the pair window of events (0, 1):
+        # its floor p0 + p1 - 1 passes its cap p0 by the inversion
+        t = np.array([1.0, 0.5, 1.0 + inversion, 0.5])
+        (fast, f_err, f_warn), (slow, s_err, s_warn) = walk_both(t, policy)
+        assert f_err == s_err
+        if inversion < ko.VALUE_ATOL:
+            assert f_err is None
+            np.testing.assert_array_equal(fast, slow)
+            assert len(f_warn) == len(s_warn) == 1
+            assert fast[3] == slow[3] == ko.FrechetInterval(0.5 + inversion, 0.5).lower
+        else:
+            assert f_err[0] is ko.InfeasibleParameterError
+            assert "empty feasibility interval" in f_err[1]
+
 
 QUAD = (0.5, 0.4, 0.3, 0.2)
 
@@ -172,6 +189,33 @@ class TestWhenTheWalkRuns:
         naive_interval_walk(params.complete_table(p.probs), "raise")
         with pytest.raises(ko.InfeasibleParameterError, match="drive the cell"):
             ko.quadruplet_epd(p, params)
+
+    def test_one_dust_text_two_error_classes(self):
+        def dust_warnings(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build()
+            return [str(w.message).split(": ", 1) for w in caught]
+
+        # pairs at their upper ends: rounding leaves one cell a hair below 0
+        p = ko.MarginalSet.from_values(ko.EventSetContext(3), (0.5, 0.4, 0.3))
+        params = ko.params_from_kor3(p, 1.0, 1.0, 0.0, 0.0)
+        ctx1 = ko.EventSetContext(1)
+        frame_dust = dust_warnings(lambda: ko.triplet_epd(p, params))
+        core_dust = dust_warnings(lambda: ko.epd1_from_epd2(ko.Epd2(ctx1, [1.0, 1.0 + 1e-12])))
+        assert frame_dust == [["triplet_epd", "clamped 1 slightly negative cell(s) to 0"]]
+        assert core_dust == [["epd1_from_epd2", frame_dust[0][1]]]
+
+        # three events never reach the clamp's error (the walk's windows cover
+        # every cell), so the frame side takes the four-event deep failure
+        deep = ko.MarginalSet.from_values(ko.EventSetContext(4), (0.4, 0.3, 0.3, 0.3))
+        zero = ko.FrameParams(4, {m: 0.0 for m in range(16) if bin(m).count("1") >= 2})
+        with pytest.raises(ko.InfeasibleParameterError, match="drive the cell") as frame_err:
+            ko.quadruplet_epd(deep, zero)
+        with pytest.raises(ko.InvalidDistributionError, match="drive the cell") as core_err:
+            ko.epd1_from_epd2(ko.Epd2(ctx1, [1.0, 1.1]))
+        assert not isinstance(frame_err.value, ko.InvalidDistributionError)
+        assert not isinstance(core_err.value, ko.InfeasibleParameterError)
 
     @pytest.mark.parametrize("policy", ["clip", 5, None])
     def test_bad_policy_rejected_on_a_feasible_table(self, policy):
