@@ -41,7 +41,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -373,18 +372,10 @@ def clean_negative_dust(
         warnings.warn(
             f"{where}: clamped {int(neg.sum())} slightly negative cell(s) to 0",
             RuntimeWarning,
-            stacklevel=_outside_stacklevel(),
+            stacklevel=3,
         )
         raw[neg] = 0.0
     return raw
-
-
-def _outside_stacklevel() -> int:
-    """The ``warnings.warn`` stacklevel, for its caller, of the first frame outside kopula."""
-    frame, level = sys._getframe(2), 2
-    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -92,14 +92,18 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     if abs(kov) <= _COV_EPS:
         return 0.0
     if kov < 0.0:
-        room, sign, side = prod - window.lower, "negative", "below"
-    else:
-        room, sign, side = window.upper - prod, "positive", "above"
+        room = prod - window.lower
+        if room <= _COV_EPS:
+            raise UndefinedCorrelationError(
+                f"negative covariance {kov!r} with no room below the product"
+            )
+        return max(-1.0, kov / room)
+    room = window.upper - prod
     if room <= _COV_EPS:
         raise UndefinedCorrelationError(
-            f"{sign} covariance {kov!r} with no room {side} the product"
+            f"positive covariance {kov!r} with no room above the product"
         )
-    return max(-1.0, min(1.0, kov / room))
+    return min(1.0, kov / room)
 
 
 def pxy_from_kor2(p_x: float, p_y: float, kor: float) -> float:
@@ -109,17 +113,12 @@ def pxy_from_kor2(p_x: float, p_y: float, kor: float) -> float:
     end, the product, and the upper end respectively.
     """
     p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
-    return _pair_value(p_x, p_y, _check_kor(kor))
+    return _pair_value(p_x, p_y, kor)
 
 
 def _pair_value(p_x: float, p_y: float, kor: float) -> float:
-    window, prod = frechet_bounds({}, 0b1, p_y, p_x), p_x * p_y
-    return window.clamp(_move(prod, kor, window.lower - prod, window.upper - prod))
-
-
-def _move(anchor: float, kor: float, minus: float, plus: float) -> float:
-    """``anchor`` moved |kor| of the way along its room: ``minus`` if kor < 0, else ``plus``."""
-    return anchor - kor * minus if kor < 0.0 else anchor + kor * plus
+    # the product always lies in the pair window, so no convention applies
+    return _pick_inserted(p_x * p_y, frechet_bounds({}, 0b1, p_y, p_x), kor, 1)
 
 
 def _triple_setting(
@@ -132,11 +131,15 @@ def _triple_setting(
         )
     px, py, pz = p.probs
     if mode == "frame":
-        mass, facets = px, {0b01: pair_xy, 0b10: pair_xz}
+        mass = px
+        facets = {0b01: pair_xy, 0b10: pair_xz}
     elif mode == "complement":
-        mass, facets = 1.0 - px, {0b01: py - pair_xy, 0b10: pz - pair_xz}
+        mass = 1.0 - px
+        facets = {0b01: py - pair_xy, 0b10: pz - pair_xz}
     else:
-        raise ParameterRangeError(f"mode must be 'frame' or 'complement', got {mode!r}")
+        raise ParameterRangeError(
+            f"mode must be 'frame' or 'complement', got {mode!r}"
+        )
     return mass * py * pz, frechet_bounds(facets, 0b11, None, mass)
 
 
@@ -168,18 +171,20 @@ def _kov_room(raw: float, window: FrechetInterval) -> tuple[float, float]:
 def _pick_inserted(
     raw: float, window: FrechetInterval, kor: float, modification: int
 ) -> float:
-    """Resolve one triple value from its correlation coordinate."""
+    """Resolve one value from its correlation coordinate: move it |kor| of
+    the way from the baseline ``raw`` along its room in ``window``."""
     kor = _check_kor(kor)
-    if modification == 1 or window.lower <= raw <= window.upper:
-        return window.clamp(_move(raw, kor, *_kov_room(raw, window)))
-    # second convention: relocate the anchor inside the window
-    den = window.upper + window.lower - 2.0 * raw
-    if abs(den) < VALUE_ATOL:
-        # degenerate window right at the baseline; endpoint rule applies
-        edge = window.lower if raw < window.lower else window.upper
-        return window.clamp(edge)
-    p0 = window.lower + (window.lower - raw) * window.width / den
-    return window.clamp(_move(p0, kor, window.lower - p0, window.upper - p0))
+    lo, hi = _kov_room(raw, window)
+    if modification == 2 and not window.lower <= raw <= window.upper:
+        # second convention: relocate the anchor inside the window
+        den = window.upper + window.lower - 2.0 * raw
+        if abs(den) < VALUE_ATOL:
+            # degenerate window right at the baseline; endpoint rule applies
+            edge = window.lower if raw < window.lower else window.upper
+            return window.clamp(edge)
+        raw = window.lower + (window.lower - raw) * window.width / den
+        lo, hi = window.lower - raw, window.upper - raw
+    return window.clamp(raw - kor * lo if kor < 0.0 else raw + kor * hi)
 
 
 def params_from_kor3(
@@ -202,8 +207,8 @@ def params_from_kor3(
         raise ParameterRangeError(f"modification must be 1 or 2, got {modification}")
     px, py, pz = _require_ordered_half_rare(p, 3, "params_from_kor3")
     # the marginals are clean already, and the pair values land in their windows
-    a1 = _pair_value(px, py, _check_kor(kor_xy))
-    a2 = _pair_value(px, pz, _check_kor(kor_xz))
+    a1 = _pair_value(px, py, kor_xy)
+    a2 = _pair_value(px, pz, kor_xz)
     raw_in, win_in = _triple_setting("frame", p, a1, a2)
     t_in = _pick_inserted(raw_in, win_in, kor_in, modification)
     raw_out, win_out = _triple_setting("complement", p, a1, a2)

@@ -60,7 +60,6 @@ from .core import (
     SUM_ATOL,
     VALUE_ATOL,
     _MASS_EPS,
-    _outside_stacklevel,
     _superset_mobius,
     clean_negative_dust,
     clean_unit_interval,
@@ -311,9 +310,11 @@ def frechet_bounds(
             raise DependencyError(
                 "single-event bounds need the event's own probability"
             )
-        facets, mass = [p, frame_prob], 1.0
+        facets = [p, frame_prob]
+        mass = 1.0
     else:
-        facets, mass = [], frame_prob
+        facets = []
+        mass = frame_prob
         for b in bits:
             key = target & ~(1 << b)
             if key not in known:
@@ -499,15 +500,18 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
         if k == 1:
             windows = [("pair", *_frechet_window([t[s], p0], 1.0))]
         else:
-            subs, left = [], s
+            subs = []
+            left = s
             for _ in range(k):  # the facets: s without each of its bits, lowest first
                 low = left & -left
                 subs.append(s ^ low)
                 left = left ^ low
             ins = [t[sub | 1] for sub in subs]
             outs = [t[sub] - f for sub, f in zip(subs, ins)]
-            windows = [("in", *_frechet_window(ins, p0)),
-                       ("out", *_frechet_window(outs, 1.0 - p0))]
+            windows = [
+                ("in", *_frechet_window(ins, p0)),
+                ("out", *_frechet_window(outs, 1.0 - p0)),
+            ]
         checks = []  # (side, value, fitted, fail, lower, upper)
         for side, lower, upper in windows:
             value = t[s] - checks[0][2] if side == "out" else t[s | 1]
@@ -538,7 +542,7 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
             f"the largest move ({gap:.3e}): {_interval_name(side, s)} = {value!r} "
             f"clamped into [{iv.lower!r}, {iv.upper!r}]",
             RuntimeWarning,
-            stacklevel=_outside_stacklevel(),
+            stacklevel=4,
         )
 
 

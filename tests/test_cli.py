@@ -114,15 +114,6 @@ class TestBuild:
         assert text in err
         assert "Traceback" not in err
 
-    def test_clayton_at_huge_theta_is_the_upper_bound(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "cfg.json", {"marginals": [0.3, 0.2], "family": "clayton", "theta": 1e308}
-        )
-        out = tmp_path / "table.json"
-        assert run(["build", "--config", cfg, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        np.testing.assert_allclose(doc["values"], [0.7, 0.1, 0.0, 0.2], atol=1e-15)
-
 
 class TestArgparseContract:
     def test_no_subcommand(self, capsys):
