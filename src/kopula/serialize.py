@@ -19,18 +19,22 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
 from .core import (
+    DependencyError,
     Epd1,
     Epd2,
     EventSetContext,
     InvalidDistributionError,
     KopulaError,
     MarginalSet,
+    ParameterRangeError,
+    clean_unit_interval,
     validate_epd1,
     validate_epd2,
 )
@@ -213,27 +217,34 @@ def load_epd(fp: IO[str]) -> Epd1 | Epd2:
     return epd_from_dict(obj)
 
 
-_CSV_BLOCK_EVENTS = 12  # rows are labelled and written 2^12 at a time
+_LABEL_BLOCK_EVENTS = 12  # subset names are built and used 2^12 at a time
+
+
+def _subset_label_blocks(ctx: EventSetContext) -> Iterator[tuple[int, list[str]]]:
+    """``ctx.mask_label`` of every mask, in mask order, as ``(start, labels)`` blocks.
+
+    The names of the low 12 events' subsets are built once by doubling;
+    each block of 2^12 masks adds its high events' name to them.
+    """
+    low = [""]
+    for name in ctx.labels[:_LABEL_BLOCK_EVENTS]:
+        low += [f"{s}&{name}" if s else name for s in low]
+    for start in range(0, ctx.size, len(low)):
+        high = ctx.mask_label(start)
+        yield start, [f"{s}&{high}" if s else high for s in low] if high else low
 
 
 def write_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
     """One ``mask,subset_labels,value`` row per subset, in mask order.
 
     The text is that of ``oracles.naive_epd_csv``: ``mask_label`` of each
-    mask and the shortest round-trip repr of its value.  The labels of
-    the low 12 events are built once by doubling; each block of 2^12 rows
-    adds its high events' label and goes to ``fp`` in one write.
+    mask and the shortest round-trip repr of its value.  Each block of
+    ``_subset_label_blocks`` goes to ``fp`` in one write.
     """
-    ctx = d.context
-    low = [""]
-    for name in ctx.labels[:_CSV_BLOCK_EVENTS]:
-        low += [f"{s}&{name}" if s else name for s in low]
     fp.write("mask,subset_labels,value\n")
-    block = len(low)
-    for start in range(0, ctx.size, block):
-        high = ctx.mask_label(start)
-        labels = [f"{s}&{high}" if s else high for s in low] if high else low
-        rows = zip(range(start, start + block), labels, d.values[start:start + block].tolist())
+    for start, labels in _subset_label_blocks(d.context):
+        stop = start + len(labels)
+        rows = zip(range(start, stop), labels, d.values[start:stop].tolist())
         fp.write("".join([f"{m},{lab},{v!r}\n" for m, lab, v in rows]))
 
 
@@ -318,12 +329,31 @@ def _marginals_from_config(obj: Mapping) -> MarginalSet:
     )
 
 
+def _canonical_table(ctx: EventSetContext, named: Mapping) -> np.ndarray | None:
+    """The caller-order table of ``named`` when every key is a subset's canonical name.
+
+    Each block of canonical names is looked up in ``named``; a subset no
+    key names reads NaN.  Keys are distinct, so fewer hits than keys means
+    some key is spelled otherwise, and the answer is None.
+    """
+    t = np.empty(ctx.size)
+    get = named.get
+    for start, labels in _subset_label_blocks(ctx):
+        t[start:start + len(labels)] = np.fromiter(
+            map(get, labels, repeat(np.nan)), np.float64, len(labels)
+        )
+    return t if np.count_nonzero(~np.isnan(t)) == len(named) else None
+
+
 def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
     """Translate label-keyed intersections to a table over the sorted events.
 
     Keys name the caller's events, each standing for its folded image, and
-    no subset twice; values are finite JSON numbers.  The caller-order
-    table is transposed into the frame build's order.
+    no subset twice; values are finite JSON numbers in [0, 1].  Canonically
+    spelled keys (``ctx.mask_label``) are found by lookup, any other
+    spelling is parsed key by key.  Every subset of size >= 2, and no
+    other, needs a value; errors name the key as the caller wrote it.
+    The caller-order table is transposed into the frame build's order.
     """
     ctx = p.context
     values = None
@@ -336,12 +366,33 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
         raise ConfigError(
             f"frame_params[{label!r}] must be a finite number, got {named[label]!r}"
         )
-    masks = np.array([ctx.mask_from_label(str(key)) for key in named], dtype=np.int64)
-    twice = int(np.argmax(np.bincount(masks, minlength=ctx.size)))
-    if np.count_nonzero(masks == twice) > 1:
-        raise ConfigError(f"frame_params names the subset {ctx.mask_label(twice)!r} more than once")
-    t = np.full(ctx.size, np.nan)
-    t[masks] = values
+    masks = None
+    t = _canonical_table(ctx, named)
+    if t is None:
+        masks = np.array([ctx.mask_from_label(str(key)) for key in named], dtype=np.int64)
+        twice = int(np.argmax(np.bincount(masks, minlength=ctx.size)))
+        if np.count_nonzero(masks == twice) > 1:
+            raise ConfigError(
+                f"frame_params names the subset {ctx.mask_label(twice)!r} more than once"
+            )
+        t = np.full(ctx.size, np.nan)
+        t[masks] = values
+    clean_unit_interval(values, lambda i: f"frame_params[{list(named)[i]!r}]")  # range check only
+    low = [0, *(1 << k for k in range(ctx.n_events))]
+    stray = ~np.isnan(t[low])
+    if stray.any():
+        mask = low[int(np.argmax(stray))]
+        key = ctx.mask_label(mask) if masks is None else list(named)[int(np.argmax(masks == mask))]
+        raise ParameterRangeError(
+            f"parameter keys must be subsets of size >= 2, got frame_params[{key!r}]"
+        )
+    missing = np.isnan(t)
+    missing[low] = False
+    if missing.any():
+        raise DependencyError(
+            "no intersection value supplied for "
+            f"frame_params[{ctx.mask_label(int(np.argmax(missing)))!r}]"
+        )
     return FrameParams(ctx.n_events, half_rare_projection(p).sort_table(t))
 
 
