@@ -156,6 +156,8 @@ def _read_config(path: str) -> dict:
             obj = json.load(fp)
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -169,6 +171,8 @@ def _load_epd_file(path: str) -> Epd1 | Epd2:
             return load_epd(fp)
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
     except KopulaError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
 
@@ -176,8 +180,11 @@ def _load_epd_file(path: str) -> Epd1 | Epd2:
 def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
     """Hand ``write`` the output stream: the ``--out`` file, or stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            write(fp)
+        try:
+            with open(out, "w", encoding="utf-8") as fp:
+                write(fp)
+        except OSError as exc:
+            raise _CliFailure(EXIT_PARSE, f"{out}: {exc}") from None
     else:
         write(sys.stdout)
 

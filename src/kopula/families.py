@@ -29,6 +29,16 @@ through that one seam.
 Pair functions always receive their arguments sorted (a <= b
 elementwise), which makes every lifted family exactly symmetric under
 swapping the two events, whatever f does.
+
+The library evaluates a block of points cells-outer: the masks go in
+as a (2**n, 1) column against (1, rows, n) points, so a block of values
+is (2**n, rows).  A block holds thousands of points but a table only a
+few cells (4 for a pair), and numpy runs its inner loop over the last
+axis: with the points there, every branch, product and reduction runs
+once over a long row instead of once per point over a few cells.  The
+values are elementwise the same in either layout, and a custom ``base``
+must still broadcast masks against the leading axes of w, whichever
+layout it is handed.
 """
 
 from __future__ import annotations
@@ -74,7 +84,9 @@ __all__ = [
 ]
 
 # Evaluator: marginal points w of shape (..., n) and subset masks
-# broadcastable against the leading axes of w, to values of that shape.
+# broadcastable against the leading axes of w, to values of the broadcast
+# shape.  The library passes blocks cells-outer (masks (2**n, 1) against
+# w (1, rows, n)); an evaluator must give the same values for any layout.
 BaseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Pair ingredient on sorted folded coordinates: (a, b) -> array, a <= b.
 PairFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -99,18 +111,6 @@ class KopulaFamily:
             ),
             dtype=np.float64,
         )
-
-
-def _phenomenon_bits(n: int) -> np.ndarray:
-    """Boolean table (2**n, n): row X marks the events contained in X."""
-    masks = np.arange(1 << n)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
-def _mirror(w: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
-    """X-mirrored points: coordinate k stays w_k for k in X, else 1 - w_k."""
-    bits = ((masks[..., None] >> np.arange(n)) & 1).astype(bool)
-    return np.where(bits, w, 1.0 - w)
 
 
 def epd_from_kopula(k: KopulaFamily, p: MarginalSet) -> Epd1:
@@ -144,7 +144,7 @@ def epd_rows_from_kopula(
     """
     masks = np.arange(k.context.size)
     try:
-        raw = k(w[:, None, :], masks[None, :])
+        raw = k(w[None, :, :], masks[:, None]).T  # cells-outer, see the module docstring
     except InfeasibleParameterError:
         values = np.empty((len(w), masks.size))
         redo = range(len(w))
@@ -259,35 +259,37 @@ def verify_one_function(
     if grid_resolution < 2:
         raise ParameterRangeError(f"grid_resolution must be >= 2, got {grid_resolution}")
     n = k.context.n_events
-    bits = _phenomenon_bits(n)
     masks = np.arange(1 << n)
+    bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, 2**n): X holds event k
     n_points = grid_resolution**n
 
     min_value, min_point, min_subset = np.inf, (), 0
     max_res, res_point, res_event = -np.inf, (), 0
     max_dev, dev_point = -np.inf, ()
 
+    # Ties go to the first row, then to the first subset or event within it:
+    # reduce over the cells of each row first, then search the winning row.
     for w in grid_points(n, grid_resolution):
-        values = k(w[:, None, :], masks[None, :])  # (rows, 2**n)
-        total = values.sum(axis=1)
-        msum = values @ bits.astype(np.float64)
-        picked = np.argmin(values, axis=1)
-        vmin = values[np.arange(values.shape[0]), picked]
+        values = k(w[None, :, :], masks[:, None])  # (2**n, rows), cells-outer
 
+        vmin = values.min(axis=0)
         r = int(np.argmin(vmin))
         if vmin[r] < min_value:
-            min_value = float(vmin[r])
+            s = int(np.argmin(values[:, r]))
+            min_value = float(values[s, r])
             min_point = tuple(float(v) for v in w[r])
-            min_subset = int(picked[r])
+            min_subset = s
 
-        residual = np.abs(msum - w)
-        r, e = np.unravel_index(int(np.argmax(residual)), residual.shape)
-        if residual[r, e] > max_res:
-            max_res = float(residual[r, e])
+        residual = np.abs(bits @ values - w.T)
+        worst = residual.max(axis=0)
+        r = int(np.argmax(worst))
+        if worst[r] > max_res:
+            e = int(np.argmax(residual[:, r]))
+            max_res = float(residual[e, r])
             res_point = tuple(float(v) for v in w[r])
-            res_event = int(e)
+            res_event = e
 
-        dev = np.abs(total - 1.0)
+        dev = np.abs(values.sum(axis=0) - 1.0)
         r = int(np.argmax(dev))
         if dev[r] > max_dev:
             max_dev = float(dev[r])
@@ -319,7 +321,12 @@ def independent_kopula(context: EventSetContext) -> KopulaFamily:
     n = context.n_events
 
     def base(w: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return np.prod(_mirror(w, masks, n), axis=-1)
+        # a running product over the events, k ascending, so no (..., n)
+        # stack of mirrored points is ever held
+        out = np.ones(np.broadcast_shapes(masks.shape, w.shape[:-1]))
+        for k in range(n):
+            out *= np.where(masks & (1 << k), w[..., k], 1.0 - w[..., k])
+        return out
 
     return KopulaFamily(context, base, "independent")
 
@@ -510,8 +517,9 @@ def quarter_sum_2(context: EventSetContext | None = None) -> KopulaFamily:
     ctx = context if context is not None else _PAIR_CONTEXT
 
     def base(w: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        coords = _mirror(w, masks, 2)
-        return 0.25 * (coords[..., 0] + coords[..., 1])
+        x = np.where(masks & 1, w[..., 0], 1.0 - w[..., 0])
+        y = np.where(masks & 2, w[..., 1], 1.0 - w[..., 1])
+        return 0.25 * (x + y)
 
     return KopulaFamily(ctx, base, "quarter_sum")
 

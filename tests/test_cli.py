@@ -115,6 +115,41 @@ class TestBuild:
         assert "Traceback" not in err
 
 
+FAMILY_CONFIG = {"marginals": [0.3, 0.2], "family": "independent", "n": 2}
+COMMAND_ARGS = {
+    "build": [],
+    "grid": ["--resolution", "3"],
+    "validate": ["--resolution", "3"],
+    "mobius": [],
+    "renumber": ["--keep", "1"],
+    "sample": ["--n", "10"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [(c, "config") for c in COMMAND_ARGS] + [(c, "out") for c in COMMAND_ARGS if c != "validate"],
+)
+def test_unusable_file_exit_1_naming_it(tmp_path, doublet_file, capsys, command, fault):
+    """A config that is not UTF-8, or an --out in no directory, is an exit-1 input fault."""
+    if command in ("mobius", "renumber", "sample"):
+        config = doublet_file
+    else:
+        config = write_json(tmp_path / "cfg.json", FAMILY_CONFIG)
+    argv = [command, *COMMAND_ARGS[command]]
+    if fault == "config":
+        config = tmp_path / "binary.json"
+        config.write_bytes(b'{"family": "\xff\xfe\x80"}')
+        path = str(config)
+    else:
+        path = str(tmp_path / "missing" / "out.txt")
+        argv += ["--out", path]
+    assert run(argv + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+
+
 class TestArgparseContract:
     def test_no_subcommand(self, capsys):
         assert run([]) == 1

@@ -5,6 +5,8 @@ import pytest
 
 import kopula as ko
 
+from helpers import product_table
+
 PAIR = ko.pair_context()
 
 
@@ -257,3 +259,160 @@ class TestConvexCombination:
             ko.convex_combination(
                 [ko.frechet_upper_2(PAIR), ko.frechet_lower_2(PAIR)], [1.5, -0.5]
             )
+
+
+def classical(name, theta):
+    return ko.parametric_2kopula(ko.classical_pair_param(name, theta), name)
+
+
+PAIR_FAMILIES = [
+    ko.independent_kopula(PAIR),
+    ko.frechet_upper_2(PAIR),
+    ko.frechet_lower_2(PAIR),
+    ko.convex_updown_2kopula(0.3),
+    ko.convex_updown_2kopula(ko.sine_diff_weight(15.0)),
+    ko.conjugated_2kopula(-0.4),
+    ko.conjugated_2kopula(ko.sine_diff_weight(15.0)),
+    classical("amh", 0.5),
+    classical("amh", -1.0),
+    classical("clayton", 2.5),
+    classical("clayton", -0.5),
+    classical("frank", 4.0),
+    classical("frank", -3.0),
+    classical("frank", 50.0),
+    classical("gumbel", 2.0),
+    classical("joe", 3.0),
+    ko.quarter_sum_2(),
+    ko.convex_combination(
+        [ko.frechet_upper_2(PAIR), ko.frechet_lower_2(PAIR), ko.independent_kopula(PAIR)],
+        [0.2, 0.5, 0.3],
+    ),
+]
+
+
+def layout_points(n, rows=256, seed=5):
+    """Random points with about half their coordinates exactly 0, 1/2 or 1."""
+    rng = np.random.default_rng(seed + n)
+    w = rng.random((rows, n))
+    exact = rng.random((rows, n)) < 0.5
+    w[exact] = rng.choice([0.0, 0.5, 1.0], size=int(exact.sum()))
+    return w
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+class TestLayout:
+    """Cells-outer and cells-inner blocks of one family hold the same bits."""
+
+    @pytest.mark.parametrize("family", PAIR_FAMILIES, ids=lambda f: f.name)
+    def test_pair_families(self, family):
+        w = layout_points(2)
+        masks = np.arange(4)
+        outer = family(w[None, :, :], masks[:, None]).T
+        inner = family(w[:, None, :], masks[None, :])
+        assert same_bits(outer, inner)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_independent(self, n):
+        fam = ko.independent_kopula(ko.EventSetContext(n))
+        w = layout_points(n)
+        masks = np.arange(1 << n)
+        outer = fam(w[None, :, :], masks[:, None]).T
+        inner = fam(w[:, None, :], masks[None, :])
+        # the product over mirrored coordinates as np.prod takes it, k ascending
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+        reference = np.prod(np.where(bits, w[:, None, :], 1.0 - w[:, None, :]), axis=-1)
+        assert same_bits(outer, inner)
+        assert same_bits(inner, reference)
+        assert same_bits(fam(w[0], masks), reference[0])
+
+
+def reference_report(k, resolution, tol=1e-8):
+    """The report fields of ``verify_one_function``, scanned point by point.
+
+    Rows in grid order, then subsets or events within a row; only a
+    strictly worse value replaces the one kept, so ties go to the first.
+    Each row is evaluated as a one-row block: numpy may round ``**``
+    differently on a 0-d point than in an array.
+    """
+    n = k.context.n_events
+    masks = np.arange(1 << n)
+    out = {
+        "min_value": np.inf, "min_point": (), "min_subset": 0,
+        "max_marginal_residual": -np.inf, "marginal_point": (), "marginal_event": 0,
+        "max_sum_deviation": -np.inf, "sum_point": (),
+    }
+    for block in ko.grid_points(n, resolution):
+        for r in range(len(block)):
+            values = k(block[r : r + 1], masks)
+            point = tuple(float(v) for v in block[r])
+            for x, v in enumerate(values):
+                if v < out["min_value"]:
+                    out.update(min_value=float(v), min_point=point, min_subset=x)
+            for e in range(n):
+                residual = abs(values[(masks >> e) & 1 == 1].sum() - block[r, e])
+                if residual > out["max_marginal_residual"]:
+                    out.update(max_marginal_residual=float(residual),
+                               marginal_point=point, marginal_event=e)
+            dev = abs(values.sum() - 1.0)
+            if dev > out["max_sum_deviation"]:
+                out.update(max_sum_deviation=float(dev), sum_point=point)
+    out["ok"] = (
+        out["min_value"] >= -tol
+        and out["max_marginal_residual"] <= tol
+        and out["max_sum_deviation"] <= tol
+    )
+    return out
+
+
+class TestReportAgainstPointScan:
+    @pytest.mark.parametrize("resolution", range(5, 10))
+    @pytest.mark.parametrize("family", PAIR_FAMILIES, ids=lambda f: f.name)
+    def test_pair_families_every_field(self, family, resolution):
+        report = ko.verify_one_function(family, resolution)
+        ref = reference_report(family, resolution)
+        assert {key: getattr(report, key) for key in ref} == ref
+
+    @pytest.mark.parametrize("resolution", range(5, 10))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_independent_wider(self, n, resolution):
+        fam = ko.independent_kopula(ko.EventSetContext(n))
+        report = ko.verify_one_function(fam, resolution)
+        ref = reference_report(fam, resolution)
+        # the cell sums may associate differently: residual and deviation
+        # agree to rounding, the rest exactly
+        assert report.ok == ref["ok"]
+        for key in ("min_value", "min_point", "min_subset"):
+            assert getattr(report, key) == ref[key]
+        assert abs(report.max_marginal_residual - ref["max_marginal_residual"]) <= 1e-15
+        assert abs(report.max_sum_deviation - ref["max_sum_deviation"]) <= 1e-15
+
+    @pytest.mark.parametrize("resolution", range(5, 10))
+    def test_quarter_sum_tie_goes_to_the_first_corner(self, resolution):
+        # the residual 1/4 is tied at every corner and for both events
+        report = ko.verify_one_function(ko.quarter_sum_2(), resolution)
+        assert report.max_marginal_residual == 0.25
+        assert report.marginal_point == (0.0, 0.0)
+        assert report.marginal_event == 0
+
+
+def test_independent_table_memory_stays_near_one_table():
+    import tracemalloc
+
+    n = 18
+    ctx = ko.EventSetContext(n)
+    probs = np.linspace(0.05, 0.95, n)
+    point = ko.MarginalSet.from_values(ctx, probs)
+    fam = ko.independent_kopula(ctx)
+    tracemalloc.start()
+    try:
+        d = ko.epd_from_kopula(fam, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
+    assert same_bits(d.values, product_table(probs))
