@@ -290,6 +290,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 1 <= n <= 6:
         raise _CliFailure(EXIT_PARSE, f"oracle runs need n <= 6 events, got {n}")
     trials = args.trials
+    if trials < 1:
+        raise _CliFailure(EXIT_PARSE, f"oracle runs need --trials >= 1, got {trials}")
+    if not 0.0 <= args.tol < np.inf:
+        raise _CliFailure(EXIT_PARSE, f"--tol must be a finite number >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise _CliFailure(EXIT_PARSE, f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.PCG64(args.seed))
     ctx = EventSetContext(n)
     size = ctx.size

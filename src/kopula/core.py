@@ -36,7 +36,9 @@ Conventions used across the package:
   baseline, that counts as zero; ``_MASS_EPS`` = 1e-15 for a cell too
   light to condition on,
 * first-kind cells in (-VALUE_ATOL, 0) are clamped to 0 with one
-  RuntimeWarning by ``clean_negative_dust`` alone; a lower cell is an error.
+  RuntimeWarning by ``clean_negative_dust`` alone, on every route that
+  builds a table (family, frame, Mobius); a lower cell is an error, and
+  no first-kind cell it returns is -0.0.
 """
 
 from __future__ import annotations
@@ -360,7 +362,11 @@ def clean_negative_dust(
     raw: np.ndarray, context: EventSetContext, where: str, error: type = InvalidDistributionError
 ) -> np.ndarray:
     """Clamp first-kind cells in (-VALUE_ATOL, 0) to 0 in place, with one warning;
-    a cell further below raises ``error``, the class its caller's exit code needs."""
+    a cell further below raises ``error``, the class its caller's exit code needs.
+
+    No cell leaves as -0.0: ``+= 0.0`` maps it to +0.0, where ``np.maximum``
+    does not say which zero it returns.  A NaN is left for ``Epd1``'s
+    finiteness check."""
     worst = int(np.argmin(raw))
     if raw[worst] < -VALUE_ATOL:
         raise error(
@@ -375,6 +381,7 @@ def clean_negative_dust(
             stacklevel=3,
         )
         raw[neg] = 0.0
+    raw += 0.0
     return raw
 
 
@@ -420,15 +427,20 @@ def epd1_from_epd2(d: Epd2) -> Epd1:
     return Epd1._adopt(d.context, clean_negative_dust(raw, d.context, "epd1_from_epd2"))
 
 
+def _event_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """Per event k, the sum of the 2**n cells whose mask holds k, in the input's dtype."""
+    t = values.reshape((2,) * n)
+    # axis a of the tensor view corresponds to event bit n-1-a
+    return np.array([t.take(1, axis=n - 1 - k).sum() for k in range(n)])
+
+
 def marginals(d: Epd1 | Epd2) -> MarginalSet:
     """Per-event occurrence probabilities of either table kind."""
     n = d.n_events
     if isinstance(d, Epd2):
         probs = tuple(float(d.values[1 << k]) for k in range(n))
     else:
-        t = d.values.reshape((2,) * n)
-        # axis a of the tensor view corresponds to event bit n-1-a
-        probs = tuple(float(t.take(1, axis=n - 1 - k).sum()) for k in range(n))
+        probs = tuple(_event_sums(d.values, n).tolist())
     return MarginalSet.from_values(d.context, probs)
 
 

@@ -39,6 +39,11 @@ once over a long row instead of once per point over a few cells.  The
 values are elementwise the same in either layout, and a custom ``base``
 must still broadcast masks against the leading axes of w, whichever
 layout it is handed.
+
+A table built from a family finishes through ``core.clean_negative_dust``,
+as the frame and Mobius routes do: dust below zero is clamped with one
+warning, a cell below -VALUE_ATOL is an ``InfeasibleParameterError``, and
+no cell is -0.0.  The library never writes into the array ``base`` returns.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .core import (
     ParameterRangeError,
     VALUE_ATOL,
     _UNIT_SNAP,
+    clean_negative_dust,
 )
 
 __all__ = [
@@ -87,6 +93,8 @@ __all__ = [
 # broadcastable against the leading axes of w, to values of the broadcast
 # shape.  The library passes blocks cells-outer (masks (2**n, 1) against
 # w (1, rows, n)); an evaluator must give the same values for any layout.
+# The returned array may be one the evaluator keeps, or read-only: the
+# library never writes into it.
 BaseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Pair ingredient on sorted folded coordinates: (a, b) -> array, a <= b.
 PairFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -116,16 +124,12 @@ class KopulaFamily:
 def epd_from_kopula(k: KopulaFamily, p: MarginalSet) -> Epd1:
     """Fill the first-kind table of family ``k`` at marginal point ``p``."""
     k.context.require_same(p.context, "epd_from_kopula")
-    n = k.context.n_events
     w = np.asarray(p.probs, dtype=np.float64)
-    raw = k(w, np.arange(1 << n))
-    worst = int(np.argmin(raw))
-    if raw[worst] < -VALUE_ATOL:
-        raise InfeasibleParameterError(
-            f"family {k.name!r} is negative at subset "
-            f"{{{k.context.mask_label(worst)}}}: {raw[worst]:.6e} at point {tuple(p.probs)}"
-        )
-    return Epd1(k.context, np.maximum(raw, 0.0))
+    # one copy: the cleaner works in place, and ``base`` may return an array it keeps
+    raw = np.array(k(w, np.arange(k.context.size)))
+    where = f"family {k.name!r} at point {tuple(p.probs)}"
+    raw = clean_negative_dust(raw, k.context, where, InfeasibleParameterError)
+    return Epd1._adopt(k.context, raw)
 
 
 def epd_rows_from_kopula(
@@ -135,22 +139,25 @@ def epd_rows_from_kopula(
 
     Row r is ``epd_from_kopula`` at the point ``w[r]``, from one
     evaluation of the whole block; a family's array arithmetic may round
-    differently in bulk (``**`` does, by at most one ulp).  Only the
-    failure path runs point by point: a row with a cell below
-    -VALUE_ATOL (or a NaN cell), or every row of a block whose pair
-    function left its band, goes through ``epd_from_kopula`` again.  A row
-    that is infeasible there comes back as NaN, and its error is listed
-    with the row index.
+    differently in bulk (``**`` does, by at most one ulp).  Only a row
+    the cleaner would touch runs point by point: a row with a cell whose
+    sign bit is set (dust, -0.0 or worse) or a NaN cell, or every row of
+    a block whose pair function left its band, goes through
+    ``epd_from_kopula`` again.  A row that is infeasible there comes back
+    as NaN, and its error is listed with the row index.  The block is
+    copied only when a row is redone, so the family's array is never
+    written into.
     """
     masks = np.arange(k.context.size)
     try:
-        raw = k(w[None, :, :], masks[:, None]).T  # cells-outer, see the module docstring
+        values = k(w[None, :, :], masks[:, None]).T  # cells-outer, see the module docstring
     except InfeasibleParameterError:
         values = np.empty((len(w), masks.size))
         redo = range(len(w))
     else:
-        values = np.maximum(raw, 0.0)
-        redo = np.flatnonzero(~(raw.min(axis=1) >= -VALUE_ATOL)).tolist()
+        redo = np.flatnonzero((np.signbit(values) | np.isnan(values)).any(axis=1)).tolist()
+        if redo:
+            values = values.copy()
     failures = []
     for r in redo:
         try:
@@ -258,6 +265,8 @@ def verify_one_function(
     """
     if grid_resolution < 2:
         raise ParameterRangeError(f"grid_resolution must be >= 2, got {grid_resolution}")
+    if not 0.0 <= tol < np.inf:
+        raise ParameterRangeError(f"tol must be a finite number >= 0, got {tol!r}")
     n = k.context.n_events
     masks = np.arange(1 << n)
     bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, 2**n): X holds event k

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Epd1, InvalidDistributionError, ParameterRangeError, validate_epd1
+from .core import Epd1, InvalidDistributionError, ParameterRangeError, _event_sums, validate_epd1
 
 __all__ = ["SampleSpec", "sample_epd1", "sample_summary"]
 
@@ -61,8 +61,7 @@ def sample_summary(d: Epd1, spec: SampleSpec) -> dict:
     """
     n = d.context.n_events
     counts = np.bincount(_draw(d, spec, ascending=True), minlength=d.context.size)
-    cube = counts.reshape((2,) * n)  # axis n-1-k is event k
-    marg = np.array([cube.take(1, axis=n - 1 - k).sum() for k in range(n)]) / spec.n_samples
+    marg = _event_sums(counts, n) / spec.n_samples
     return {
         "n_events": n,
         "n_samples": spec.n_samples,

@@ -54,7 +54,7 @@ from .families import (
     quarter_sum_2,
     sine_diff_weight,
 )
-from .frame import FrameParams, build_nset_epd, triplet_epd
+from .frame import FrameParams, _low_masks, build_nset_epd, triplet_epd
 from .phenomena import half_rare_projection
 
 __all__ = [
@@ -378,10 +378,10 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
         t = np.full(ctx.size, np.nan)
         t[masks] = values
     clean_unit_interval(values, lambda i: f"frame_params[{list(named)[i]!r}]")  # range check only
-    low = [0, *(1 << k for k in range(ctx.n_events))]
+    low = _low_masks(ctx.n_events)
     stray = ~np.isnan(t[low])
     if stray.any():
-        mask = low[int(np.argmax(stray))]
+        mask = int(low[np.argmax(stray)])
         key = ctx.mask_label(mask) if masks is None else list(named)[int(np.argmax(masks == mask))]
         raise ParameterRangeError(
             f"parameter keys must be subsets of size >= 2, got frame_params[{key!r}]"

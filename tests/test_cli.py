@@ -335,3 +335,24 @@ def test_oracle_mismatch_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "recursive_frame_epd1", skewed)
     assert run(["oracle", "--n", "3", "--trials", "3"]) == 4
     assert "DISAGREE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "--tol", "nan"], "tol must be a finite number >= 0, got nan"),
+        (["validate", "--tol", "-1"], "tol must be a finite number >= 0, got -1.0"),
+        (["validate", "--tol", "inf"], "tol must be a finite number >= 0, got inf"),
+        (["oracle", "--trials", "0"], "oracle runs need --trials >= 1, got 0"),
+        (["oracle", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+        (["oracle", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
+        (["oracle", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+)
+def test_bad_oracle_or_validate_flags_exit_1(tmp_path, capsys, argv, text):
+    if argv[0] == "validate":
+        argv = argv + ["--config", write_json(tmp_path / "cfg.json", {"family": "frechet_upper"})]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == text + "\n"

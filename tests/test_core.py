@@ -1,5 +1,7 @@
 """Event contexts, the two table kinds, the Möbius pair, and validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -224,6 +226,22 @@ class TestNegativeDust:
         values = np.array([-1e-6, 0.5, 0.3, 0.2])
         with pytest.raises(ko.InvalidDistributionError):
             clean_negative_dust(values, ctx2, "test")
+
+    def test_negative_zero_leaves_as_positive_zero_and_nan_stays(self, ctx2):
+        values = np.array([-0.0, 0.5, np.nan, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # -0.0 is not dust: no warning
+            out = clean_negative_dust(values, ctx2, "test")
+        assert out is values
+        assert out[0] == 0.0 and not np.signbit(out[0])
+        assert np.isnan(out[2])
+        with pytest.raises(ko.InvalidDistributionError, match="finite"):
+            ko.Epd1._adopt(ctx2, out)
+
+    def test_mobius_inverse_gives_no_negative_zero(self, ctx2):
+        out = ko.epd1_from_epd2(epd2(ctx2, [1.0, 0.5, 0.5, -0.0])).values
+        assert out.tolist() == [0.0, 0.5, 0.5, 0.0]
+        assert not np.signbit(out).any()
 
 
 class TestValidateEpd1:

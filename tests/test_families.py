@@ -1,5 +1,7 @@
 """Closed-form distribution families and the one-function verifier."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -416,3 +418,74 @@ def test_independent_table_memory_stays_near_one_table():
         tracemalloc.stop()
     assert peak < 6 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
     assert same_bits(d.values, product_table(probs))
+
+
+def off_by(offset, name):
+    """Independence moved by ``offset`` in the no-event cell, every exact zero made -0.0."""
+    indep = ko.independent_kopula(PAIR)
+
+    def base(w, masks):
+        out = indep(w, masks) - np.where(masks == 0, offset, 0.0)
+        return np.where(out == 0.0, -0.0, out)
+
+    return ko.KopulaFamily(PAIR, base, name)
+
+
+KEPT = (-1e-12, 0.5, 0.2, 0.3 + 1e-12)
+
+
+class TestOneCleanup:
+    """The family route finishes through ``core.clean_negative_dust``, as the others do."""
+
+    def test_dust_is_one_warning_and_positive_zeros(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = table(off_by(1e-12, "dusty"), 1.0, 0.3)
+        assert [str(w.message) for w in caught] == [
+            "family 'dusty' at point (1.0, 0.3): clamped 1 slightly negative cell(s) to 0"
+        ]
+        assert values.tolist() == [0.0, 0.7, 0.0, 0.3]
+        assert not np.signbit(values).any()
+
+    def test_a_cell_below_the_band_names_family_point_and_cell(self):
+        with pytest.raises(
+            ko.InfeasibleParameterError,
+            match=r"^family 'sunk' at point \(1\.0, 0\.3\): the inputs drive the cell \{\} "
+            r"\(index 0\) to -1\.000000e-06",
+        ):
+            table(off_by(1e-6, "sunk"), 1.0, 0.3)
+
+    @pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "kept"])
+    def test_the_array_a_family_returns_is_not_written_into(self, writeable):
+        kept = np.array(KEPT)
+        kept.setflags(write=writeable)
+
+        def base(w, masks):
+            return kept.reshape(np.broadcast_shapes(masks.shape, w.shape[:-1]))
+
+        fam = ko.KopulaFamily(PAIR, base, "keeper")
+        with pytest.warns(RuntimeWarning, match="clamped 1 slightly negative"):
+            d = ko.epd_from_kopula(fam, pair_marginals(0.5, 0.5))
+            rows, failures = ko.epd_rows_from_kopula(fam, np.array([[0.5, 0.5]]))
+        assert d.values.tolist() == [0.0, 0.5, 0.2, 0.3 + 1e-12]
+        assert failures == [] and same_bits(rows[0], d.values)
+        assert same_bits(kept, np.array(KEPT))
+
+    @pytest.mark.parametrize(
+        "fam",
+        [off_by(1e-12, "dusty"), off_by(0.0, "signed"), ko.frechet_upper_2(PAIR)],
+        ids=lambda f: f.name,
+    )
+    def test_grid_rows_are_the_pointwise_tables_bit_for_bit(self, fam):
+        (w,) = ko.grid_points(2, 11)
+        rows, failures = ko.epd_rows_from_kopula(fam, w)
+        assert failures == []
+        want = np.array([ko.epd_from_kopula(fam, pair_marginals(*p)).values for p in w])
+        assert same_bits(rows, want)
+        assert not np.signbit(rows).any()
+
+    def test_frank_zero_cell_is_positive_zero(self):
+        fam = ko.parametric_2kopula(ko.classical_pair_param("frank", 4.0).fn, name="frank")
+        assert np.signbit(fam(np.array([0.0, 0.3]), np.arange(4))[3])  # the evaluator's -0.0
+        values = table(fam, 0.0, 0.3)
+        assert values[3] == 0.0 and not np.signbit(values).any()
