@@ -25,6 +25,9 @@ in ``kopula.oracles``.
 Conventions used across the package:
 
 * masks are plain ints; ``mask & (1 << k)`` tests event k,
+* the cells without and with event k are the halves ``_halves(values, k)``
+  of the table's rows of 2 * 2**k cells, stride 2**k apart; each half,
+  raveled, lists its masks in ascending order, as a mask selection would,
 * value arrays are float64 and frozen (non-writeable) once stored,
 * contexts cap N at 24 so masks stay cheap and arrays addressable,
 * each kind of tolerance is one constant here: ``SUM_ATOL`` = 1e-9 for
@@ -389,12 +392,18 @@ def clean_negative_dust(
 # Mobius pair over the superset order
 
 
+def _halves(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells without event k, cells with it) of a flat table: two (2**(n-1-k), 2**k) views."""
+    half = values.reshape(-1, 2, 1 << k)
+    return half[:, 0], half[:, 1]
+
+
 def _superset_butterfly(values: np.ndarray, n_events: int, op) -> np.ndarray:
     """For each event k, from the highest: cells without k  op=  cells with k."""
     t = values.astype(np.float64, copy=True).reshape(-1)
     for k in reversed(range(n_events)):
-        half = t.reshape(-1, 2, 1 << k)
-        op(half[:, 0], half[:, 1], out=half[:, 0])
+        without, with_k = _halves(t, k)
+        op(without, with_k, out=without)
     return t
 
 
@@ -429,9 +438,7 @@ def epd1_from_epd2(d: Epd2) -> Epd1:
 
 def _event_sums(values: np.ndarray, n: int) -> np.ndarray:
     """Per event k, the sum of the 2**n cells whose mask holds k, in the input's dtype."""
-    t = values.reshape((2,) * n)
-    # axis a of the tensor view corresponds to event bit n-1-a
-    return np.array([t.take(1, axis=n - 1 - k).sum() for k in range(n)])
+    return np.array([_halves(values, k)[1].ravel().sum() for k in range(n)])
 
 
 def marginals(d: Epd1 | Epd2) -> MarginalSet:
@@ -449,16 +456,13 @@ def covariance_pair(d: Epd1 | Epd2, i: int, j: int) -> float:
     n = d.n_events
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ContextError(f"need two distinct event indices in [0, {n}), got {i}, {j}")
-    bi, bj = 1 << i, 1 << j
     if isinstance(d, Epd2):
-        p_i, p_j, p_ij = d.values[bi], d.values[bj], d.values[bi | bj]
+        p_i, p_j, p_ij = d.values[1 << i], d.values[1 << j], d.values[1 << i | 1 << j]
     else:
-        masks = np.arange(d.context.size)
-        has_i = (masks & bi) != 0
-        has_j = (masks & bj) != 0
-        p_i = d.values[has_i].sum()
-        p_j = d.values[has_j].sum()
-        p_ij = d.values[has_i & has_j].sum()
+        p_i, p_j = (_halves(d.values, k)[1].ravel().sum() for k in (i, j))
+        # halving by the higher event first leaves the lower one's bit in place
+        with_high = _halves(d.values, max(i, j))[1].ravel()
+        p_ij = _halves(with_high, min(i, j))[1].ravel().sum()
     return float(p_ij - p_i * p_j)
 
 
@@ -565,18 +569,14 @@ def validate_epd2(d: Epd2, tol: float = SUM_ATOL) -> Epd2Report:
     subset pairs, so only N * 2**(N-1) comparisons are made.
     """
     values = d.values
-    n = d.n_events
-    masks = np.arange(d.context.size)
     out_of_range = np.nonzero((values < -tol) | (values > 1.0 + tol))[0]
     mono: list[tuple[int, int, float]] = []
-    for k in range(n):
-        bit = 1 << k
-        lower = masks[(masks & bit) == 0]
-        gap = values[lower | bit] - values[lower]
-        bad = np.nonzero(gap > MONOTONE_ATOL)[0]
-        mono.extend(
-            (int(lower[b]), int(lower[b] | bit), float(gap[b])) for b in bad
-        )
+    for k in range(d.n_events):
+        without, with_k = _halves(values, k)
+        gap = with_k - without
+        row, col = np.nonzero(gap > MONOTONE_ATOL)
+        lower = row << (k + 1) | col
+        mono.extend(zip(lower.tolist(), (lower | 1 << k).tolist(), gap[row, col].tolist()))
     return Epd2Report(
         context=d.context,
         tol=tol,

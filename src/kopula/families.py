@@ -168,6 +168,13 @@ def epd_rows_from_kopula(
     return values, failures
 
 
+def _grid_resolution(res) -> int:
+    """The points per grid axis: an integer in [2, 2**20], else a ParameterRangeError."""
+    if isinstance(res, bool) or not isinstance(res, (int, np.integer)) or not 2 <= res <= 1 << 20:
+        raise ParameterRangeError(f"grid resolution must be an integer in [2, 2**20], got {res!r}")
+    return int(res)
+
+
 def grid_points(
     n: int,
     resolution: int,
@@ -183,6 +190,7 @@ def grid_points(
     and a block holds about 2**16 table cells, so the (rows, 2**n) value
     blocks stay small.
     """
+    resolution = _grid_resolution(resolution)
     axes = list(range(n)) if axes is None else list(axes)
     axis = np.linspace(0.0, 1.0, resolution)
     base = np.zeros(n)
@@ -261,10 +269,10 @@ def verify_one_function(
     endpoints 0 and 1 included.  At every grid point w all 2**n mirror
     values are computed and three properties checked: each is
     nonnegative, those containing event x sum to w_x, and all of them
-    sum to 1.  The report keeps the worst offender of each kind.
+    sum to 1.  The report keeps the worst offender of each kind; the
+    first NaN found is the worst of every kind, so it fails the report.
     """
-    if grid_resolution < 2:
-        raise ParameterRangeError(f"grid_resolution must be >= 2, got {grid_resolution}")
+    grid_resolution = _grid_resolution(grid_resolution)
     if not 0.0 <= tol < np.inf:
         raise ParameterRangeError(f"tol must be a finite number >= 0, got {tol!r}")
     n = k.context.n_events
@@ -278,12 +286,14 @@ def verify_one_function(
 
     # Ties go to the first row, then to the first subset or event within it:
     # reduce over the cells of each row first, then search the winning row.
+    # A NaN survives the row reductions and arg searches; in the running comparisons
+    # ``not old <= new`` lets it in, and ``old == old`` keeps it once it is in.
     for w in grid_points(n, grid_resolution):
         values = k(w[None, :, :], masks[:, None])  # (2**n, rows), cells-outer
 
         vmin = values.min(axis=0)
         r = int(np.argmin(vmin))
-        if vmin[r] < min_value:
+        if min_value == min_value and not min_value <= vmin[r]:
             s = int(np.argmin(values[:, r]))
             min_value = float(values[s, r])
             min_point = tuple(float(v) for v in w[r])
@@ -292,7 +302,7 @@ def verify_one_function(
         residual = np.abs(bits @ values - w.T)
         worst = residual.max(axis=0)
         r = int(np.argmax(worst))
-        if worst[r] > max_res:
+        if max_res == max_res and not max_res >= worst[r]:
             e = int(np.argmax(residual[:, r]))
             max_res = float(residual[e, r])
             res_point = tuple(float(v) for v in w[r])
@@ -300,7 +310,7 @@ def verify_one_function(
 
         dev = np.abs(values.sum(axis=0) - 1.0)
         r = int(np.argmax(dev))
-        if dev[r] > max_dev:
+        if max_dev == max_dev and not max_dev >= dev[r]:
             max_dev = float(dev[r])
             dev_point = tuple(float(v) for v in w[r])
 

@@ -60,6 +60,7 @@ from .core import (
     SUM_ATOL,
     VALUE_ATOL,
     _MASS_EPS,
+    _halves,
     _superset_mobius,
     clean_negative_dust,
     clean_unit_interval,
@@ -165,10 +166,9 @@ def conditional_epd(
             f"frame events {ctx.mask_label(frame_events)!r}"
         )
     sub_ctx = _drop_event_context(ctx, frame_events)
-    masks = np.arange(ctx.size)
-    sel = (masks & frame_events) == y_subset
-    # ascending mask order compacts to ascending submask order
-    block = joint.values[sel]
+    block = joint.values
+    for k in sorted(mask_bits(frame_events), reverse=True):  # lower events keep their bit
+        block = _halves(block, k)[y_subset >> k & 1].ravel()
     mass = float(block.sum())
     if mass <= _MASS_EPS:
         raise ConditioningError(
@@ -203,8 +203,8 @@ def frame_split(joint: Epd1, frame_event: int) -> tuple[PseudoDistribution, Pseu
     if ctx.n_events == 1:
         raise ConditioningError("splitting needs at least two events")
     sub_ctx = _drop_event_context(ctx, 1 << frame_event)
-    t, axis = joint.values.reshape((2,) * ctx.n_events), ctx.n_events - 1 - frame_event
-    return tuple(PseudoDistribution(sub_ctx, t.take(b, axis)) for b in (1, 0))
+    without, with_event = _halves(joint.values, frame_event)
+    return PseudoDistribution(sub_ctx, with_event), PseudoDistribution(sub_ctx, without)
 
 
 def frame_compose(
@@ -234,7 +234,6 @@ def frame_compose(
             k += 1
         frame_label = f"f{k}"
     ctx = EventSetContext(len(old) + 1, (frame_label,) + old)
-    # the new event is the last axis of the tensor view
     return Epd1(ctx, np.stack((pseudo_out.values, pseudo_in.values), axis=-1))
 
 

@@ -21,7 +21,9 @@ decreasing probability drive the constructions in ``kopula.frame``.
 On the ``(2,) * N`` tensor view of a table (axis a holds event N-1-a),
 complementing events is a flip along their axes and reordering events
 is a transpose; ``HalfRareProjection.unsort_masks`` and
-``oracles.naive_renumber`` are their index-based references.
+``oracles.naive_renumber`` are their index-based references.  The view
+is for reorders and flips of several events at once; the cells of one
+event are read through ``core._halves``.
 """
 
 from __future__ import annotations

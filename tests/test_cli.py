@@ -325,6 +325,19 @@ def test_oracle_checks_the_frame_build_against_the_recursion(capsys):
     assert "frame build: Möbius vs recursive reference" in capsys.readouterr().out
 
 
+def test_out_of_memory_exit_1_in_one_line(monkeypatch, doublet_file, capsys):
+    from kopula import cli
+
+    def starved(d, spec):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "sample_summary", starved)
+    assert run(["sample", "--config", doublet_file, "--n", "100000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kopula: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
 def test_oracle_mismatch_exit_4(monkeypatch, capsys):
     from kopula import cli, oracles
 
@@ -347,6 +360,8 @@ def test_oracle_mismatch_exit_4(monkeypatch, capsys):
         (["oracle", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
         (["oracle", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
         (["oracle", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["validate", "--resolution", "1" + "0" * 400],
+         f"grid resolution must be an integer in [2, 2**20], got {10**400}"),
     ],
 )
 def test_bad_oracle_or_validate_flags_exit_1(tmp_path, capsys, argv, text):

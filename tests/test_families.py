@@ -128,6 +128,50 @@ class TestVerifier:
         assert report.n_points == 25
         assert report.grid_resolution == 5
 
+    def test_nan_everywhere_fails_at_the_first_point_and_cell(self):
+        def base(w, masks):
+            return np.full(np.broadcast_shapes(masks.shape, w.shape[:-1]), np.nan)
+
+        report = ko.verify_one_function(ko.KopulaFamily(PAIR, base, "void"), 5)
+        assert not report.ok and "FAILS" in report.describe()
+        assert np.isnan(report.min_value) and np.isnan(report.max_sum_deviation)
+        assert (report.min_point, report.min_subset) == ((0.0, 0.0), 0)
+        assert report.sum_point == (0.0, 0.0)
+
+    def test_first_nan_is_the_worst_and_stays(self):
+        # 200**2 points run in three blocks; NaNs in the second and third, a
+        # negative cell before them in the first
+        axis = np.linspace(0.0, 1.0, 200)
+        spots = [(10, 10, 0, -1.0), (100, 50, 3, np.nan), (150, 10, 1, np.nan), (190, 0, 0, np.nan)]
+        indep = ko.independent_kopula(PAIR)
+
+        def base(w, masks):
+            out = indep(w, masks)
+            for i, j, m, v in spots:
+                at = (w[..., 0] == axis[i]) & (w[..., 1] == axis[j]) & (masks == m)
+                out = np.where(at, v, out)
+            return out
+
+        report = ko.verify_one_function(ko.KopulaFamily(PAIR, base, "holes"), 200)
+        first = (float(axis[100]), float(axis[50]))
+        assert not report.ok
+        assert np.isnan(report.min_value)
+        assert (report.min_point, report.min_subset) == (first, 3)
+        assert report.sum_point == first and np.isnan(report.max_sum_deviation)
+
+    @pytest.mark.parametrize("resolution", [1, 0, -3, 2**20 + 1, 10**400, 2.0, True, "9"])
+    def test_resolution_outside_its_rule_is_a_range_error(self, resolution):
+        match = r"grid resolution must be an integer in \[2, 2\*\*20\]"
+        with pytest.raises(ko.ParameterRangeError, match=match):
+            ko.verify_one_function(ko.frechet_upper_2(PAIR), resolution)
+        with pytest.raises(ko.ParameterRangeError, match=match):
+            next(ko.grid_points(2, resolution))
+
+    @pytest.mark.parametrize("resolution", [2, np.int64(3), 2**20])
+    def test_resolution_inside_its_rule(self, resolution):
+        first = next(ko.grid_points(1, resolution))
+        assert first[:2].tolist() == [[0.0], [1.0 / (resolution - 1)]]
+
 
 class TestEpdFromKopula:
     def test_marginals_recovered(self, rng):

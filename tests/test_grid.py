@@ -179,6 +179,7 @@ def test_infeasible_rows_match_the_pointwise_loop(
         {"resolution": 2.7},
         {"resolution": True},
         {"resolution": 1},
+        {"resolution": 10**400},
     ],
     ids=json.dumps,
 )
