@@ -61,6 +61,7 @@ from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, sample_summary
 from .serialize import (
     ConfigError,
+    _read_json,
     build_from_config,
     dump_json,
     epd_to_dict,
@@ -145,33 +146,24 @@ def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:
     return spec
 
 
-def _read_config(path: str) -> dict:
-    import json
-
+def _read_file(path: str, parse: Callable[[IO[str]], object]) -> object:
+    """``parse`` of the input file at ``path``; an unusable file is exit 1, naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            obj = json.load(fp)
-    except OSError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise _CliFailure(EXIT_PARSE, f"{path}: expected a JSON object at top level")
-    return obj
-
-
-def _load_epd_file(path: str) -> Epd1 | Epd2:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            return load_epd(fp)
+            return parse(fp)
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
     except KopulaError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
+
+
+def _config(fp: IO[str]) -> dict:
+    obj = _read_json(fp)
+    if not isinstance(obj, dict):
+        raise ConfigError("expected a JSON object at top level")
+    return obj
 
 
 def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
@@ -207,14 +199,14 @@ def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_file(args.config, _config)
     d = _guarded(lambda: build_from_config(cfg))
     _emit(_epd_writer(d, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_file(args.config, _config)
     fam = _guarded(lambda: family_from_config(cfg))
     ctx = fam.context
     n = ctx.n_events
@@ -244,7 +236,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    d = _load_epd_file(args.config)
+    d = _read_file(args.config, load_epd)
     if not isinstance(d, Epd1):
         raise _CliFailure(EXIT_PARSE, "sampling needs a first-kind table (kind 'epd1')")
     spec = _guarded(lambda: SampleSpec(args.n, args.seed))
@@ -254,7 +246,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_file(args.config, _config)
     fam = _guarded(lambda: family_from_config(cfg))
     report = _guarded(lambda: verify_one_function(fam, args.resolution, args.tol))
     print(report.describe())
@@ -262,14 +254,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_mobius(args: argparse.Namespace) -> int:
-    d = _load_epd_file(args.config)
+    d = _read_file(args.config, load_epd)
     out = _guarded(lambda: epd2_from_epd1(d) if isinstance(d, Epd1) else epd1_from_epd2(d))
     _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_renumber(args: argparse.Namespace) -> int:
-    d = _load_epd_file(args.config)
+    d = _read_file(args.config, load_epd)
     if not isinstance(d, Epd1):
         raise _CliFailure(EXIT_PARSE, "renumbering needs a first-kind table (kind 'epd1')")
     text = str(args.keep).strip()
@@ -467,8 +459,9 @@ def run(argv: list[str] | None = None) -> int:
     except _CliFailure as failure:
         print(failure.message, file=sys.stderr)
         return failure.code
-    except MemoryError as exc:  # a request too large for this machine is unusable input
-        print(f"kopula: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:  # unusable input: too big for the memory or stack
+        what = "out of memory" if isinstance(exc, MemoryError) else "input nested too deeply"
+        print(f"kopula: {what}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -49,6 +49,7 @@ import numpy as np
 from .core import (
     CompositionError,
     ConditioningError,
+    ContextError,
     DependencyError,
     Epd1,
     Epd2,
@@ -428,7 +429,16 @@ class FrameParams:
     def from_labels(
         cls, context: EventSetContext, named: Mapping[str, float]
     ) -> "FrameParams":
-        return cls(context.n_events, {context.mask_from_label(k): v for k, v in named.items()})
+        """Parameters keyed by subset labels; two spellings of one subset are an error."""
+        intersections = {}
+        for key, value in named.items():
+            mask = context.mask_from_label(key)
+            if mask in intersections:
+                raise ContextError(
+                    f"labels name the subset {context.mask_label(mask)!r} more than once"
+                )
+            intersections[mask] = value
+        return cls(context.n_events, intersections)
 
     def to_labels(self, context: EventSetContext) -> dict[str, float]:
         return {context.mask_label(m): v for m, v in self.intersections.items()}

@@ -7,7 +7,8 @@ Tables travel as one JSON object:
 
 with values in subset-mask order.  Loading validates against the
 axioms of the declared kind.  CSV is export-only, one labelled subset
-per row.
+per row.  Every input document is decoded by ``_read_json``, the one
+``json.load``; ``dump_json`` writes every JSON output.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
@@ -20,7 +21,6 @@ import contextlib
 import json
 import sys
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from typing import IO, Iterator, Mapping
 
 import numpy as np
@@ -80,50 +80,48 @@ class ConfigError(KopulaError, ValueError):
 _PLAIN_NUMBERS = {int, float}
 
 
+def _read_json(fp: IO[str]):
+    """The one decode of an input document; JSON it cannot read is a ConfigError.
+
+    That covers an integer past Python's int-digit limit and nesting past the
+    recursion limit.  A ``UnicodeDecodeError`` passes, for the caller to name the file.
+    """
+    try:
+        return json.load(fp)
+    except UnicodeDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"not valid JSON: {exc}") from None
+
+
 def dump_json(obj, fp: IO[str] | None = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    (``oracles.reference_dump_json``), but a list holding only plain ints
-    and floats, such as a table's values, is written by the C encoder in
-    one call instead of value by value.
+    (``oracles.reference_dump_json``), and that call writes it, except that
+    each non-empty top-level list of plain ints and floats under a string
+    key, such as a table's values, is written by the C encoder in one call:
+    the list is left empty in the indented text and spliced back into it.
     """
-    text = _json_text(obj, "\n") + "\n"
+    bulk = {}
+    if isinstance(obj, dict):
+        bulk = {
+            key: values for key, values in obj.items()
+            if isinstance(key, str) and isinstance(values, list) and values
+            and set(map(type, values)) <= _PLAIN_NUMBERS
+        }
+        obj = {**obj, **dict.fromkeys(bulk, [])} if bulk else obj
+    rest = json.dumps(obj, sort_keys=True, indent=2)
+    pieces = []
+    for key in sorted(bulk):  # the order the keys appear in the text
+        marker = f"\n  {json.dumps(key)}: ["  # only a top-level key starts a line at indent 2
+        head, rest = rest.split(marker, 1)  # rest starts with the list's "]"
+        body = json.dumps(bulk[key], separators=(",\n    ", ": "))[1:-1]
+        pieces += [head, marker, "\n    ", body, "\n  "]
+    text = "".join([*pieces, rest, "\n"])
     if fp is not None:
         fp.write(text)
     return text
-
-
-def _json_text(obj, newline: str) -> str:
-    """``obj`` as the indented reference encoder writes it after ``newline`` (break + indent)."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        if set(map(type, obj)) <= _PLAIN_NUMBERS:  # no int or float repr holds ", "
-            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join([_json_text(v, inner) for v in obj])
-        return f"[{inner}{body}{newline}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        body = ("," + inner).join(
-            [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
-        )
-        return f"{{{inner}{body}{newline}}}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)  # the reference's string encoder
-    return json.dumps(obj)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # written as a string of its JSON text
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +208,7 @@ def save_epd(d: Epd1 | Epd2, fp: IO[str]) -> None:
 
 
 def load_epd(fp: IO[str]) -> Epd1 | Epd2:
-    try:
-        obj = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not valid JSON: {exc}") from None
-    return epd_from_dict(obj)
+    return epd_from_dict(_read_json(fp))
 
 
 _LABEL_BLOCK_EVENTS = 12  # subset names are built and used 2^12 at a time

@@ -126,12 +126,22 @@ COMMAND_ARGS = {
 }
 
 
+# JSON that json.load cannot read although it is well formed: an integer
+# past Python's 4300-digit limit, and nesting past the recursion limit
+UNREADABLE_JSON = {
+    "digits": '{"n": 1' + "0" * 5000 + "}",
+    "nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
 @pytest.mark.parametrize(
     "command, fault",
-    [(c, "config") for c in COMMAND_ARGS] + [(c, "out") for c in COMMAND_ARGS if c != "validate"],
+    [(c, "config") for c in COMMAND_ARGS] + [(c, "out") for c in COMMAND_ARGS if c != "validate"]
+    + [(c, fault) for fault in UNREADABLE_JSON for c in COMMAND_ARGS],
 )
 def test_unusable_file_exit_1_naming_it(tmp_path, doublet_file, capsys, command, fault):
-    """A config that is not UTF-8, or an --out in no directory, is an exit-1 input fault."""
+    """A config that is not UTF-8 or that JSON cannot read, or an --out in no
+    directory, is an exit-1 input fault."""
     if command in ("mobius", "renumber", "sample"):
         config = doublet_file
     else:
@@ -140,6 +150,10 @@ def test_unusable_file_exit_1_naming_it(tmp_path, doublet_file, capsys, command,
     if fault == "config":
         config = tmp_path / "binary.json"
         config.write_bytes(b'{"family": "\xff\xfe\x80"}')
+        path = str(config)
+    elif fault in UNREADABLE_JSON:
+        config = tmp_path / f"{fault}.json"
+        config.write_text(UNREADABLE_JSON[fault], encoding="utf-8")
         path = str(config)
     else:
         path = str(tmp_path / "missing" / "out.txt")
@@ -336,6 +350,21 @@ def test_out_of_memory_exit_1_in_one_line(monkeypatch, doublet_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "kopula: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+@pytest.mark.parametrize("command", ["build", "validate"])
+def test_deeply_nested_family_exit_1_in_one_line(tmp_path, capsys, command):
+    """A convex family 400 deep decodes, then runs out of stack in the build or the evaluation."""
+    family = {"family": "frechet_upper"}
+    for _ in range(400):
+        family = {"family": "convex", "parts": [family], "weights": [1.0]}
+    cfg = write_json(tmp_path / "cfg.json", {"marginals": [0.3, 0.2], **family})
+    assert run([command, "--config", cfg, *COMMAND_ARGS[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "maximum recursion depth exceeded" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_mismatch_exit_4(monkeypatch, capsys):

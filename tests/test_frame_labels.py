@@ -160,3 +160,12 @@ FULL = {"x0&x1": 0.03, "x0&x2": 0.02, "x1&x2": 0.06, "x0&x1&x2": 0.006}
 )
 def test_errors_name_the_key_as_written(tmp_path, capsys, frame_params, cls, text):
     assert build_error(tmp_path, capsys, frame_params) == (cls, text, 1)
+
+
+def test_both_label_routes_reject_two_spellings_of_one_subset():
+    named = {"x0&x1": 0.1, "x1&x0": 0.2}
+    p = ko.MarginalSet.from_values(ko.EventSetContext(2), [0.5, 0.4])
+    with pytest.raises(ko.ConfigError, match="the subset 'x0&x1' more than once"):
+        _frame_params_from_config(p, named)
+    with pytest.raises(ko.ContextError, match="the subset 'x0&x1' more than once"):
+        ko.FrameParams.from_labels(p.context, named)

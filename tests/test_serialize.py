@@ -62,6 +62,13 @@ class TestTableDocuments:
         with pytest.raises(ko.ConfigError):
             ko.load_epd(io.StringIO("{not json"))
 
+    @pytest.mark.parametrize(
+        "text", ['{"n": 1' + "0" * 5000 + "}", "[" * 100_000], ids=["digits", "nesting"]
+    )
+    def test_load_rejects_json_it_cannot_decode(self, text):
+        with pytest.raises(ko.ConfigError, match="^not valid JSON: "):
+            ko.load_epd(io.StringIO(text))
+
 
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [2]})

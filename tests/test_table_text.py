@@ -128,6 +128,16 @@ def test_every_build_route_writes_the_reference_text(cfg):
         3.25,
         None,
         [[[[1.0]]]],
+        {"values": [0.5, 0.25], "counts": [3, 1], "kind": "epd1", "n": {"k": [1.0]},
+         "labels": ["x", "y"], "marginals": [0.75, 2]},
+        {"a\"b": [1.0, 2.5], "\u00fc": [3], "\n": [0.5], "plain": [4.0]},
+        {"v": [1.0], "values": [2.0, 3.0], "val": [4]},
+        {"a": {"values": [1.0], "x": [{"values": [2]}]}, "values": [3.0]},
+        {"note": '\n  "values": [', "values": [0.5], "z": "\"values\": [1]"},
+        {"a": [True, 1.0], "b": [np.float64(0.5), 0.25], "c": [float("nan"), float("inf"), 1.0],
+         "d": [10**30, 2**64, -1], "e": [0.5]},
+        {"values": [], "counts": [1, 2]},
+        {1: [0.5]},
     ],
 )
 def test_dump_json_matches_the_reference_on_any_tree(obj):
@@ -140,7 +150,9 @@ def test_dump_json_writes_to_a_stream():
     assert buf.getvalue() == text == reference_dump_json({"values": [0.5, 0.25]})
 
 
-@pytest.mark.parametrize("obj", [[object()], {"a": {1, 2}}, {(1, 2): 0}, {None: 0, 1: 1}])
+@pytest.mark.parametrize(
+    "obj", [[object()], {"a": {1, 2}}, {(1, 2): 0}, {None: 0, 1: 1}, {"a": [1.0], 1: [2.0]}]
+)
 def test_dump_json_rejects_what_the_reference_rejects(obj):
     with pytest.raises(TypeError) as ours:
         dump_json(obj)
