@@ -61,12 +61,14 @@ from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, sample_summary
 from .serialize import (
     ConfigError,
+    _json_chunks,
     _read_json,
     build_from_config,
     dump_json,
     epd_to_dict,
     family_from_config,
     load_epd,
+    save_epd,
     write_epd_csv,
 )
 
@@ -189,18 +191,18 @@ def _guarded(fn: Callable[[], object]) -> object:
 
 
 def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
-    if fmt == "csv":
-        return functools.partial(write_epd_csv, d)
-    return functools.partial(dump_json, epd_to_dict(d))
+    return functools.partial(write_epd_csv if fmt == "csv" else save_epd, d)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: one that writes a table drops its input before it opens the
+# output, so it holds the output alone, plus one block of text, while it writes
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     cfg = _read_file(args.config, _config)
     d = _guarded(lambda: build_from_config(cfg))
+    del cfg
     _emit(_epd_writer(d, args.format), args.out)
     return EXIT_OK
 
@@ -216,22 +218,25 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         + ",terrace_mask,"
         + ",".join(f"v_{m}" for m in range(ctx.size))
     )
-    lines = [header]
-    skipped = 0
     bits = 1 << np.arange(n)
-    for w in grid_points(n, spec.resolution, spec.axes, spec.fixed):
-        values, failures = _guarded(lambda: epd_rows_from_kopula(fam, w))
-        for r, exc in failures:
-            print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
-        skipped += len(failures)
-        keep = (w <= 0.5) @ bits  # the half-rare projection's keep set of each row
-        lines.extend(
-            f"{','.join(map(repr, wr))},{kr},{','.join(map(repr, vr))}"
-            for wr, kr, vr in zip(w.tolist(), keep.tolist(), values.tolist())
-        )
-    if skipped:
-        print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)
-    _emit(lambda fp: fp.write("\n".join(lines) + "\n"), args.out)
+
+    def write(fp: IO[str]) -> None:  # one write per block of grid points, as it is formatted
+        fp.write(header + "\n")
+        skipped = 0
+        for w in grid_points(n, spec.resolution, spec.axes, spec.fixed):
+            values, failures = _guarded(lambda: epd_rows_from_kopula(fam, w))
+            for r, exc in failures:
+                print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
+            skipped += len(failures)
+            keep = (w <= 0.5) @ bits  # the half-rare projection's keep set of each row
+            fp.write("".join([
+                f"{','.join(map(repr, wr))},{kr},{','.join(map(repr, vr))}\n"
+                for wr, kr, vr in zip(w.tolist(), keep.tolist(), values.tolist())
+            ]))
+        if skipped:
+            print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)
+
+    _emit(write, args.out)
     return EXIT_OK
 
 
@@ -241,7 +246,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise _CliFailure(EXIT_PARSE, "sampling needs a first-kind table (kind 'epd1')")
     spec = _guarded(lambda: SampleSpec(args.n, args.seed))
     summary = _guarded(lambda: sample_summary(d, spec))
-    _emit(functools.partial(dump_json, summary), args.out)
+    del d
+    _emit(lambda fp: fp.writelines(_json_chunks(summary)), args.out)
     return EXIT_OK
 
 
@@ -256,6 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_mobius(args: argparse.Namespace) -> int:
     d = _read_file(args.config, load_epd)
     out = _guarded(lambda: epd2_from_epd1(d) if isinstance(d, Epd1) else epd1_from_epd2(d))
+    del d
     _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
 
@@ -270,6 +277,7 @@ def _cmd_renumber(args: argparse.Namespace) -> int:
     except ValueError:
         keep = _guarded(lambda: d.context.mask_from_label(text))
     out = _guarded(lambda: renumber_epd1(d, keep))
+    del d
     _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
 

@@ -8,7 +8,13 @@ Tables travel as one JSON object:
 with values in subset-mask order.  Loading validates against the
 axioms of the declared kind.  CSV is export-only, one labelled subset
 per row.  Every input document is decoded by ``_read_json``, the one
-``json.load``; ``dump_json`` writes every JSON output.
+``json.load``.  Every JSON output is the text of ``_json_chunks``, the
+one writer: ``json.dumps`` writes the document with its number lists
+left empty, and each list is spliced back in, formatted ``_BLOCK``
+values at a time.  ``dump_json`` joins the pieces into one string;
+``save_epd`` and the CLI's sample summary hand them to the file as they
+come, so a table is written from its array without a list or text of
+its own.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
@@ -94,31 +100,53 @@ def _read_json(fp: IO[str]):
         raise ConfigError(f"not valid JSON: {exc}") from None
 
 
+_BLOCK_EVENTS = 12
+_BLOCK = 1 << _BLOCK_EVENTS  # values, or CSV rows, formatted per piece of output text
+
+
+def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
+    """The canonical text of ``obj`` with the arrays ``bulk`` added as top-level lists, in pieces.
+
+    Joined, the pieces are ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    (``oracles.reference_dump_json``), where ``doc`` is ``obj`` with
+    ``bulk[key].tolist()`` under each key.  That call writes the text,
+    except that each of ``bulk`` and each non-empty top-level list of
+    plain ints and floats under a string key, such as a table's values, is
+    left empty in it and spliced back in: its body is written by the C
+    encoder ``_BLOCK`` values at a time, one piece per block.
+    """
+    if isinstance(obj, dict):
+        bulk.update(
+            (key, values) for key, values in obj.items()
+            if isinstance(key, str) and isinstance(values, list) and values
+            and set(map(type, values)) <= _PLAIN_NUMBERS
+        )
+        obj = {**obj, **dict.fromkeys(bulk, [])} if bulk else obj
+    rest = json.dumps(obj, sort_keys=True, indent=2)
+    for key in sorted(bulk):  # the order the keys appear in the text
+        marker = f"\n  {json.dumps(key)}: ["  # only a top-level key starts a line at indent 2
+        head, rest = rest.split(marker, 1)  # rest starts with the list's "]"
+        yield head
+        yield marker
+        values = bulk[key]
+        for start in range(0, len(values), _BLOCK):
+            block = values[start:start + _BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            yield ",\n    " if start else "\n    "
+            yield json.dumps(block, separators=(",\n    ", ": "))[1:-1]
+        yield "\n  "
+    yield rest
+    yield "\n"
+
+
 def dump_json(obj, fp: IO[str] | None = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    (``oracles.reference_dump_json``), and that call writes it, except that
-    each non-empty top-level list of plain ints and floats under a string
-    key, such as a table's values, is written by the C encoder in one call:
-    the list is left empty in the indented text and spliced back into it.
+    (``oracles.reference_dump_json``), joined from the pieces of ``_json_chunks``.
     """
-    bulk = {}
-    if isinstance(obj, dict):
-        bulk = {
-            key: values for key, values in obj.items()
-            if isinstance(key, str) and isinstance(values, list) and values
-            and set(map(type, values)) <= _PLAIN_NUMBERS
-        }
-        obj = {**obj, **dict.fromkeys(bulk, [])} if bulk else obj
-    rest = json.dumps(obj, sort_keys=True, indent=2)
-    pieces = []
-    for key in sorted(bulk):  # the order the keys appear in the text
-        marker = f"\n  {json.dumps(key)}: ["  # only a top-level key starts a line at indent 2
-        head, rest = rest.split(marker, 1)  # rest starts with the list's "]"
-        body = json.dumps(bulk[key], separators=(",\n    ", ": "))[1:-1]
-        pieces += [head, marker, "\n    ", body, "\n  "]
-    text = "".join([*pieces, rest, "\n"])
+    text = "".join(_json_chunks(obj))
     if fp is not None:
         fp.write(text)
     return text
@@ -171,13 +199,17 @@ def _read_labels(obj: Mapping, what: str) -> tuple[str, ...]:
 # table round trip
 
 
-def epd_to_dict(d: Epd1 | Epd2) -> dict:
+def _table_head(d: Epd1 | Epd2) -> dict:
+    """The table document of ``d`` without its values."""
     return {
         "kind": "epd1" if isinstance(d, Epd1) else "epd2",
         "n": d.context.n_events,
         "labels": list(d.context.labels),
-        "values": d.values.tolist(),
     }
+
+
+def epd_to_dict(d: Epd1 | Epd2) -> dict:
+    return {**_table_head(d), "values": d.values.tolist()}
 
 
 def epd_from_dict(obj: Mapping) -> Epd1 | Epd2:
@@ -204,14 +236,12 @@ def epd_from_dict(obj: Mapping) -> Epd1 | Epd2:
 
 
 def save_epd(d: Epd1 | Epd2, fp: IO[str]) -> None:
-    dump_json(epd_to_dict(d), fp)
+    """Write ``dump_json(epd_to_dict(d))`` to ``fp``, formatting ``d.values`` a block at a time."""
+    fp.writelines(_json_chunks(_table_head(d), values=d.values))
 
 
 def load_epd(fp: IO[str]) -> Epd1 | Epd2:
     return epd_from_dict(_read_json(fp))
-
-
-_LABEL_BLOCK_EVENTS = 12  # subset names are built and used 2^12 at a time
 
 
 def _subset_label_blocks(ctx: EventSetContext) -> Iterator[tuple[int, list[str]]]:
@@ -221,7 +251,7 @@ def _subset_label_blocks(ctx: EventSetContext) -> Iterator[tuple[int, list[str]]
     each block of 2^12 masks adds its high events' name to them.
     """
     low = [""]
-    for name in ctx.labels[:_LABEL_BLOCK_EVENTS]:
+    for name in ctx.labels[:_BLOCK_EVENTS]:
         low += [f"{s}&{name}" if s else name for s in low]
     for start in range(0, ctx.size, len(low)):
         high = ctx.mask_label(start)

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under ``scripts/``."""
 
 import csv
+import json
 import os
 import pathlib
 import subprocess
@@ -46,3 +47,18 @@ def test_export_pair_maps_writes_one_row_per_grid_point(tmp_path):
         for row in rows[1:]:
             cells = [float(v) for v in row[2:]]
             assert min(cells) >= 0.0 and abs(sum(cells) - 1.0) <= 1e-12
+
+
+def test_cli_budget_runs_every_table_command():
+    proc = run_script("cli_budget.py", "--sizes", "4", "8")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    rows = record["rows"]
+    assert [(r["n"], r["command"]) for r in rows] == [
+        (n, c) for n in (4, 8) for c in ("build", "mobius", "renumber", "sample")
+    ]
+    for row in rows:
+        assert row["exit"] == 0 and row["within_budget"], row
+        assert 0 < row["read_s"] <= row["run_s"] < row["wall_s"]
+        assert 0 < row["read_rss_mb"] <= row["peak_rss_mb"]
+        assert row["out_mb"] > 0

@@ -1,13 +1,15 @@
-"""Table text: the one-pass writers against the reference encoders, byte for byte.
+"""Table text: the block writers against the reference encoders, byte for byte.
 
-``dump_json`` and ``write_epd_csv`` format a table in one pass; the
-value-by-value encoders in ``kopula.oracles`` fix what the bytes must be.
-Also here: the sampler's summary against the per-draw computation, and
-the typed readers at the table and build-config boundary.
+``dump_json``, ``save_epd`` and ``write_epd_csv`` format a table 2^12
+values at a time; the value-by-value encoders in ``kopula.oracles`` fix
+what the bytes must be, and tracemalloc guards hold what the writers keep
+while they write.  Also here: the sampler's summary against the per-draw
+computation, and the typed readers at the table and build-config boundary.
 """
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,12 @@ import pytest
 import kopula as ko
 from kopula.cli import run
 from kopula.oracles import naive_epd_csv, reference_dump_json
-from kopula.serialize import dump_json, write_epd_csv
+from kopula.serialize import dump_json, save_epd, write_epd_csv
 
 from helpers import random_epd1
 
 
-def csv_text(writer, d) -> str:
+def text_of(writer, d) -> str:
     buf = io.StringIO()
     writer(d, buf)
     return buf.getvalue()
@@ -38,7 +40,7 @@ def custom_context(n: int) -> ko.EventSetContext:
     return ko.EventSetContext(n, tuple(f"ev_{k}" for k in range(n)))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))  # 13 and 14 cross the 2^12-value block boundary
 @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
 def test_table_documents_match_the_reference(n, custom, rng):
     d = random_epd1(rng, n)
@@ -46,15 +48,17 @@ def test_table_documents_match_the_reference(n, custom, rng):
         d = ko.Epd1(custom_context(n), d.values)
     for table in (d, ko.epd2_from_epd1(d)):
         doc = ko.epd_to_dict(table)
-        assert_same_text(dump_json(doc), reference_dump_json(doc))
-        assert_same_text(csv_text(write_epd_csv, table), csv_text(naive_epd_csv, table))
+        reference = reference_dump_json(doc)
+        assert_same_text(dump_json(doc), reference)
+        assert_same_text(text_of(save_epd, table), reference)
+        assert_same_text(text_of(write_epd_csv, table), text_of(naive_epd_csv, table))
 
 
 @pytest.mark.parametrize("n", [12, 13])
 def test_csv_across_the_block_boundary(n, rng):
     d = ko.Epd1(custom_context(n), random_epd1(rng, n).values)
-    text = csv_text(write_epd_csv, d)
-    assert_same_text(text, csv_text(naive_epd_csv, d))
+    text = text_of(write_epd_csv, d)
+    assert_same_text(text, text_of(naive_epd_csv, d))
     lines = text.splitlines()
     assert len(lines) == 1 + (1 << n)
     assert lines[-1].startswith(f"{(1 << n) - 1},ev_0&ev_1&")
@@ -75,7 +79,7 @@ def test_csv_writes_in_blocks(rng):
     assert Recorder.writes == 1 + 4  # the header, then four blocks of 2^12 rows
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 3, 8, 13, 14])
 def test_sample_summaries_match_the_reference(n, rng):
     d = random_epd1(rng, n)
     doc = ko.sample_summary(d, ko.SampleSpec(5000, seed=n))
@@ -101,7 +105,7 @@ def test_every_build_route_writes_the_reference_text(cfg):
     d = ko.build_from_config(cfg)
     doc = ko.epd_to_dict(d)
     assert_same_text(dump_json(doc), reference_dump_json(doc))
-    assert_same_text(csv_text(write_epd_csv, d), csv_text(naive_epd_csv, d))
+    assert_same_text(text_of(write_epd_csv, d), text_of(naive_epd_csv, d))
 
 
 @pytest.mark.parametrize(
@@ -222,7 +226,7 @@ def test_cli_outputs_equal_the_reference_text(tmp_path, rng):
         return out.read_text(encoding="utf-8")
 
     assert out_of("mobius") == reference_dump_json(ko.epd_to_dict(ko.epd2_from_epd1(d)))
-    assert out_of("mobius", "--format", "csv") == csv_text(naive_epd_csv, ko.epd2_from_epd1(d))
+    assert out_of("mobius", "--format", "csv") == text_of(naive_epd_csv, ko.epd2_from_epd1(d))
     renumbered = ko.renumber_epd1(d, 0b10110)
     assert out_of("renumber", "--keep", "0b10110") == reference_dump_json(
         ko.epd_to_dict(renumbered)
@@ -233,7 +237,7 @@ def test_cli_outputs_equal_the_reference_text(tmp_path, rng):
     cfg = {"marginals": [0.3, 0.2, 0.6], "labels": ["a", "b", "c"], "family": "independent"}
     table.write_text(json.dumps(cfg), encoding="utf-8")
     built = ko.build_from_config(cfg)
-    assert out_of("build", "--format", "csv") == csv_text(naive_epd_csv, built)
+    assert out_of("build", "--format", "csv") == text_of(naive_epd_csv, built)
     assert out_of("build") == reference_dump_json(ko.epd_to_dict(built))
 
 
@@ -242,7 +246,54 @@ def test_cli_csv_to_stdout(tmp_path, capsys):
     cfg.write_text(json.dumps({"marginals": [0.3, 0.2], "family": "independent"}))
     assert run(["build", "--config", str(cfg), "--format", "csv"]) == 0
     d = ko.build_from_config({"marginals": [0.3, 0.2], "family": "independent"})
-    assert capsys.readouterr().out == csv_text(naive_epd_csv, d)
+    assert capsys.readouterr().out == text_of(naive_epd_csv, d)
+
+
+# ---------------------------------------------------------------------------
+# memory while writing: the output table, plus one block of text
+
+
+class ByteCount:
+    """A text sink that keeps only the length of what is written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of what it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_epd_holds_less_than_one_table_while_it_writes(rng):
+    d = random_epd1(rng, 18)
+    sink = ByteCount()
+    _, peak = traced_peak(lambda: save_epd(d, sink))
+    assert sink.size == len(dump_json(ko.epd_to_dict(d)))
+    assert peak < d.values.nbytes, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_cli_build_writes_within_its_build_memory(tmp_path, rng):
+    n = 18
+    cfg = {"marginals": rng.uniform(0.05, 0.95, n).tolist(), "family": "independent"}
+    path, out = tmp_path / "cfg.json", tmp_path / "t.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, peak = traced_peak(lambda: run(["build", "--config", str(path), "--out", str(out)]))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == dump_json(ko.epd_to_dict(ko.build_from_config(cfg)))
+    # the family build peaks at four tables; writing adds one block, not a list and its text
+    assert peak < 5 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_oracle_checks_the_table_text(capsys):
