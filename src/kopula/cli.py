@@ -58,9 +58,10 @@ from .oracles import (
     reference_dump_json,
 )
 from .phenomena import half_rare_projection, renumber_epd1
-from .sampling import SampleSpec, sample_summary
+from .sampling import SampleSpec, _summary_arrays, sample_summary
 from .serialize import (
     ConfigError,
+    _grid_csv_rows,
     _json_chunks,
     _read_json,
     build_from_config,
@@ -229,10 +230,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
             skipped += len(failures)
             keep = (w <= 0.5) @ bits  # the half-rare projection's keep set of each row
-            fp.write("".join([
-                f"{','.join(map(repr, wr))},{kr},{','.join(map(repr, vr))}\n"
-                for wr, kr, vr in zip(w.tolist(), keep.tolist(), values.tolist())
-            ]))
+            fp.write(_grid_csv_rows(w, keep, values))
         if skipped:
             print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)
 
@@ -245,9 +243,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if not isinstance(d, Epd1):
         raise _CliFailure(EXIT_PARSE, "sampling needs a first-kind table (kind 'epd1')")
     spec = _guarded(lambda: SampleSpec(args.n, args.seed))
-    summary = _guarded(lambda: sample_summary(d, spec))
+    head, counts, frequencies = _guarded(lambda: _summary_arrays(d, spec))
     del d
-    _emit(lambda fp: fp.writelines(_json_chunks(summary)), args.out)
+    text = _json_chunks(head, counts=counts, frequencies=frequencies)
+    _emit(lambda fp: fp.writelines(text), args.out)
     return EXIT_OK
 
 

@@ -51,6 +51,25 @@ def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
     return _draw(d, spec, ascending=False).astype(np.int64)
 
 
+def _summary_arrays(d: Epd1, spec: SampleSpec) -> tuple[dict, np.ndarray, np.ndarray]:
+    """``sample_summary`` with its 2**n-entry ``counts`` and ``frequencies`` left as arrays.
+
+    The first item is the summary without those two keys.
+    """
+    n = d.context.n_events
+    counts = np.bincount(_draw(d, spec, ascending=True), minlength=d.context.size)
+    marg = _event_sums(counts, n) / spec.n_samples
+    head = {
+        "n_events": n,
+        "n_samples": spec.n_samples,
+        "seed": spec.seed,
+        "labels": list(d.context.labels),
+        "marginals": marg.tolist(),
+        "marginal_se": np.sqrt(marg * (1.0 - marg) / spec.n_samples).tolist(),
+    }
+    return head, counts, counts / spec.n_samples
+
+
 def sample_summary(d: Epd1, spec: SampleSpec) -> dict:
     """Empirical terrace frequencies and marginals, with standard errors.
 
@@ -59,16 +78,5 @@ def sample_summary(d: Epd1, spec: SampleSpec) -> dict:
     order, so the uniforms are looked up in ascending order; the
     marginals are exact integer sums of the counts.
     """
-    n = d.context.n_events
-    counts = np.bincount(_draw(d, spec, ascending=True), minlength=d.context.size)
-    marg = _event_sums(counts, n) / spec.n_samples
-    return {
-        "n_events": n,
-        "n_samples": spec.n_samples,
-        "seed": spec.seed,
-        "labels": list(d.context.labels),
-        "counts": counts.tolist(),
-        "frequencies": (counts / spec.n_samples).tolist(),
-        "marginals": marg.tolist(),
-        "marginal_se": np.sqrt(marg * (1.0 - marg) / spec.n_samples).tolist(),
-    }
+    head, counts, frequencies = _summary_arrays(d, spec)
+    return {**head, "counts": counts.tolist(), "frequencies": frequencies.tolist()}

@@ -14,7 +14,8 @@ left empty, and each list is spliced back in, formatted ``_BLOCK``
 values at a time.  ``dump_json`` joins the pieces into one string;
 ``save_epd`` and the CLI's sample summary hand them to the file as they
 come, so a table is written from its array without a list or text of
-its own.
+its own.  The rows of ``kopula grid`` are formatted by ``_grid_csv_rows``
+a block at a time, each distinct float of the block once.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
@@ -270,6 +271,30 @@ def write_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
         stop = start + len(labels)
         rows = zip(range(start, stop), labels, d.values[start:stop].tolist())
         fp.write("".join([f"{m},{lab},{v!r}\n" for m, lab, v in rows]))
+
+
+def _grid_csv_rows(w: np.ndarray, keep: np.ndarray, values: np.ndarray) -> str:
+    """The ``grid`` CSV rows of a block: each point ``w``, its terrace mask ``keep`` and its cells.
+
+    The text is ``repr`` of every float and ``str`` of every mask, comma
+    separated (``oracles.pointwise_grid``).  Floats are told apart by
+    their bit patterns, so -0.0 keeps its sign, and each distinct one is
+    formatted once: a grid's axes take few values, and its cells repeat.
+    """
+    n = w.shape[1]
+    floats = np.concatenate([w, values], axis=1)
+    distinct, where = np.unique(floats.view(np.int64), return_inverse=True)
+    masks, mask_where = np.unique(keep, return_inverse=True)
+    texts = np.array(
+        [*map(repr, distinct.view(np.float64).tolist()), *map(str, masks.tolist())], dtype=object
+    )
+    where = np.insert(where.reshape(floats.shape), n, mask_where + distinct.size, axis=1)
+    cells = texts[where].tolist()
+    del floats, distinct, where, texts  # the arrays go before the rows are joined
+    lines = list(map(",".join, cells))
+    del cells  # and so do the distinct texts, before the block's text is joined
+    lines.append("")  # the last row's newline, without copying the block's text
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

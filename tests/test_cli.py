@@ -345,7 +345,7 @@ def test_out_of_memory_exit_1_in_one_line(monkeypatch, doublet_file, capsys):
     def starved(d, spec):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr(cli, "sample_summary", starved)
+    monkeypatch.setattr(cli, "_summary_arrays", starved)
     assert run(["sample", "--config", doublet_file, "--n", "100000000000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,6 +7,7 @@ them.
 """
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 import kopula as ko
 from kopula import frame
-from kopula.oracles import naive_interval_walk, recursive_frame_epd1
+from kopula.oracles import naive_interval_walk, product_epd1, recursive_frame_epd1
 
 
 def random_dependent_epd1(rng, n):
@@ -173,6 +174,23 @@ class TestWhenTheWalkRuns:
         p = ko.MarginalSet.from_values(ko.EventSetContext(4), QUAD)
         ko.quadruplet_epd(p, ko.FrameParams.independence(QUAD), policy="clamp")
         assert len(calls) == 1
+
+    def test_walk_memory_under_clamp(self, rng):
+        n = 18
+        probs = rng.uniform(0.05, 0.95, n)
+        p = ko.MarginalSet.from_values(ko.EventSetContext(n), probs)
+        proj = ko.half_rare_projection(p)
+        params = ko.FrameParams.independence([proj.point.probs[k] for k in proj.permutation])
+        tracemalloc.start()
+        try:
+            d = ko.build_nset_epd(p, params, policy="clamp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(d.values, product_epd1(p.context, probs).values, atol=1e-15)
+        # The walk traced 15.0 MB (7.5 tables; 4.2 MB under "raise", which skips
+        # it here); the bound of 9 tables leaves 20% headroom.
+        assert peak < 9 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
 
     def test_top_level_failure_names_its_interval(self):
         p = ko.MarginalSet.from_values(ko.EventSetContext(3), (0.5, 0.4, 0.3))

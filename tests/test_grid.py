@@ -17,6 +17,7 @@ import kopula as ko
 from kopula import cli
 from kopula.cli import run
 from kopula.oracles import pointwise_grid
+from kopula.serialize import _grid_csv_rows
 
 PAIR_CONFIGS = [
     ({"family": "independent", "n": 2}, True),
@@ -159,6 +160,51 @@ def test_infeasible_rows_match_the_pointwise_loop(
     assert err == notes + [f"grid: {len(notes)} infeasible row(s) written as nan"]
     assert sum(row.endswith(",nan") for row in rows) == len(notes)
     assert_same_grid(lines, rows, n, exact=True)
+
+
+def test_a_fixed_minus_zero_is_written_apart_from_zero_cells(tmp_path, capsys):
+    cfg = {"family": "independent", "n": 3, "axes": [0, 1], "fixed": {"2": -0.0}}
+    code, lines, err = sweep(tmp_path, capsys, cfg, 5)
+    assert code == 0 and err == []
+    rows, _ = pointwise_grid(ko.family_from_config(cfg), 5, (0, 1), {2: -0.0})
+    assert_same_grid(lines, rows, 3, exact=True)
+    assert all(line.split(",")[2] == "-0.0" for line in lines[1:])
+    assert all("0.0" in line.split(",")[4:] for line in lines[1:])
+
+
+def test_nan_rows_of_an_infeasible_family_keep_their_text(tmp_path, capsys, monkeypatch):
+    fam = strict_quad()
+    monkeypatch.setattr(cli, "family_from_config", lambda cfg: fam)
+    cfg = {"family": "stub", "axes": [0, 1, 2], "fixed": {"3": -0.0}}
+    code, lines, err = sweep(tmp_path, capsys, cfg, 11)
+    assert code == 0
+    rows, notes = pointwise_grid(fam, 11, (0, 1, 2), {3: -0.0})
+    assert err == notes + [f"grid: {len(notes)} infeasible row(s) written as nan"]
+    assert_same_grid(lines, rows, 4, exact=True)
+    assert sum(line.endswith(",nan") for line in lines) == len(notes) == 121
+
+
+def test_grid_rows_format_each_bit_pattern_as_repr():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+    odd = [*nans.view(np.float64), 0.0, -0.0, np.inf, -np.inf, 5e-324, 0.1, 1.0]
+    w = np.array([[0.0, -0.0], [np.nan, 0.5], [-0.0, -0.0]])
+    values = np.array([odd[:7], odd[3:], odd[::-1][3:]])
+    keep = np.array([3, 0, 3])
+    want = "".join(
+        ",".join([*map(repr, wr), str(kr), *map(repr, vr)]) + "\n"
+        for wr, kr, vr in zip(w.tolist(), keep.tolist(), values.tolist())
+    )
+    assert _grid_csv_rows(w, keep, values) == want
+    assert want.count("nan") == 1 + 3 + 3
+
+
+def test_a_pair_grid_across_two_blocks_matches_the_pointwise_loop(tmp_path, capsys):
+    cfg = {"family": "frank", "theta": 4.0}
+    code, lines, err = sweep(tmp_path, capsys, cfg, 129)
+    assert code == 0 and err == []
+    rows, _ = pointwise_grid(ko.family_from_config(cfg), 129, (0, 1), {})
+    assert len(rows) == 129**2 > 1 << 14  # blocks of 16,384 rows
+    assert_same_grid(lines, rows, 2, exact=True)
 
 
 @pytest.mark.parametrize(

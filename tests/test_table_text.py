@@ -17,7 +17,7 @@ import pytest
 import kopula as ko
 from kopula.cli import run
 from kopula.oracles import naive_epd_csv, reference_dump_json
-from kopula.serialize import dump_json, save_epd, write_epd_csv
+from kopula.serialize import dump_json, load_epd, save_epd, write_epd_csv
 
 from helpers import random_epd1
 
@@ -294,6 +294,31 @@ def test_cli_build_writes_within_its_build_memory(tmp_path, rng):
     assert out.read_text(encoding="utf-8") == dump_json(ko.epd_to_dict(ko.build_from_config(cfg)))
     # the family build peaks at four tables; writing adds one block, not a list and its text
     assert peak < 5 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_cli_sample_holds_arrays_not_lists_once_its_table_is_read(tmp_path, rng, monkeypatch):
+    from kopula import cli
+
+    n = 18
+    d = random_epd1(rng, n)
+    path, out = tmp_path / "t.json", tmp_path / "s.json"
+    with open(path, "w", encoding="utf-8") as fp:
+        save_epd(d, fp)
+
+    def load_then_reset_peak(fp):  # the JSON read's own peak belongs to load_epd
+        table = load_epd(fp)
+        tracemalloc.reset_peak()
+        return table
+
+    monkeypatch.setattr(cli, "load_epd", load_then_reset_peak)
+    argv = ["sample", "--config", str(path), "--out", str(out), "--n", "100000", "--seed", "4"]
+    code, peak = traced_peak(lambda: run(argv))
+    assert code == 0
+    summary = ko.sample_summary(d, ko.SampleSpec(100_000, seed=4))
+    assert out.read_text(encoding="utf-8") == dump_json(summary)
+    # The table, its CDF and the counts and frequencies arrays traced 6.5 MB;
+    # 2**n-entry counts and frequencies lists traced 16.1 MB.
+    assert peak < 4 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_oracle_checks_the_table_text(capsys):
