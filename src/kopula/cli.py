@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: build, grid, sample, validate, oracle, mobius, renumber.
-Exit codes are a stable contract:
+Exit codes are a stable contract, and ``run`` alone maps library errors
+onto them (``InfeasibleParameterError`` and ``InvalidDistributionError``
+to 2, any other ``KopulaError`` to 1, as one line on stderr):
 
     0  success
     1  unusable input: bad flags, malformed config, parameter outside
@@ -154,11 +156,9 @@ def _read_file(path: str, parse: Callable[[IO[str]], object]) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return parse(fp)
-    except OSError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
-    except KopulaError as exc:
+    except (OSError, KopulaError) as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
 
 
@@ -181,16 +181,6 @@ def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
         write(sys.stdout)
 
 
-def _guarded(fn: Callable[[], object]) -> object:
-    """Map library errors onto the exit-code contract."""
-    try:
-        return fn()
-    except (InfeasibleParameterError, InvalidDistributionError) as exc:
-        raise _CliFailure(EXIT_INFEASIBLE, str(exc)) from None
-    except KopulaError as exc:
-        raise _CliFailure(EXIT_PARSE, str(exc)) from None
-
-
 def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
     return functools.partial(write_epd_csv if fmt == "csv" else save_epd, d)
 
@@ -202,7 +192,7 @@ def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     cfg = _read_file(args.config, _config)
-    d = _guarded(lambda: build_from_config(cfg))
+    d = build_from_config(cfg)
     del cfg
     _emit(_epd_writer(d, args.format), args.out)
     return EXIT_OK
@@ -210,10 +200,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     cfg = _read_file(args.config, _config)
-    fam = _guarded(lambda: family_from_config(cfg))
+    fam = family_from_config(cfg)
     ctx = fam.context
     n = ctx.n_events
-    spec = _guarded(lambda: _grid_spec(cfg, ctx, args.resolution))
+    spec = _grid_spec(cfg, ctx, args.resolution)
     header = (
         ",".join(f"w_{k}" for k in range(n))
         + ",terrace_mask,"
@@ -225,7 +215,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         fp.write(header + "\n")
         skipped = 0
         for w in grid_points(n, spec.resolution, spec.axes, spec.fixed):
-            values, failures = _guarded(lambda: epd_rows_from_kopula(fam, w))
+            values, failures = epd_rows_from_kopula(fam, w)
             for r, exc in failures:
                 print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
             skipped += len(failures)
@@ -242,8 +232,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     d = _read_file(args.config, load_epd)
     if not isinstance(d, Epd1):
         raise _CliFailure(EXIT_PARSE, "sampling needs a first-kind table (kind 'epd1')")
-    spec = _guarded(lambda: SampleSpec(args.n, args.seed))
-    head, counts, frequencies = _guarded(lambda: _summary_arrays(d, spec))
+    spec = SampleSpec(args.n, args.seed)
+    head, counts, frequencies = _summary_arrays(d, spec)
     del d
     text = _json_chunks(head, counts=counts, frequencies=frequencies)
     _emit(lambda fp: fp.writelines(text), args.out)
@@ -252,15 +242,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _read_file(args.config, _config)
-    fam = _guarded(lambda: family_from_config(cfg))
-    report = _guarded(lambda: verify_one_function(fam, args.resolution, args.tol))
+    fam = family_from_config(cfg)
+    report = verify_one_function(fam, args.resolution, args.tol)
     print(report.describe())
     return EXIT_OK if report.ok else EXIT_AXIOM
 
 
 def _cmd_mobius(args: argparse.Namespace) -> int:
     d = _read_file(args.config, load_epd)
-    out = _guarded(lambda: epd2_from_epd1(d) if isinstance(d, Epd1) else epd1_from_epd2(d))
+    out = epd2_from_epd1(d) if isinstance(d, Epd1) else epd1_from_epd2(d)
     del d
     _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
@@ -274,8 +264,8 @@ def _cmd_renumber(args: argparse.Namespace) -> int:
     try:
         keep = int(text, 0)
     except ValueError:
-        keep = _guarded(lambda: d.context.mask_from_label(text))
-    out = _guarded(lambda: renumber_epd1(d, keep))
+        keep = d.context.mask_from_label(text)
+    out = renumber_epd1(d, keep)
     del d
     _emit(_epd_writer(out, args.format), args.out)
     return EXIT_OK
@@ -466,6 +456,12 @@ def run(argv: list[str] | None = None) -> int:
     except _CliFailure as failure:
         print(failure.message, file=sys.stderr)
         return failure.code
+    except (InfeasibleParameterError, InvalidDistributionError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except KopulaError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
     except (MemoryError, RecursionError) as exc:  # unusable input: too big for the memory or stack
         what = "out of memory" if isinstance(exc, MemoryError) else "input nested too deeply"
         print(f"kopula: {what}: {str(exc) or type(exc).__name__}", file=sys.stderr)

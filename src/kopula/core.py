@@ -28,7 +28,9 @@ Conventions used across the package:
 * the cells without and with event k are the halves ``_halves(values, k)``
   of the table's rows of 2 * 2**k cells, stride 2**k apart; each half,
   raveled, lists its masks in ascending order, as a mask selection would,
-* value arrays are float64 and frozen (non-writeable) once stored,
+* ``Epd1``, ``Epd2`` and ``frame.PseudoDistribution`` share one base, ``_Table``:
+  flat float64 values, finite and frozen (non-writeable) once stored;
+  constructors copy their input, builders adopt the array they made (``_adopt``),
 * contexts cap N at 24 so masks stay cheap and arrays addressable,
 * each kind of tolerance is one constant here: ``SUM_ATOL`` = 1e-9 for
   total mass (a table, a slice); ``VALUE_ATOL`` = 1e-9 for one value (a
@@ -136,6 +138,11 @@ class UndefinedCorrelationError(KopulaError, ValueError):
 # contexts and subsets
 
 
+def _is_int(value) -> bool:
+    """The one rule for a count: a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EventSetContext:
     """Identity of an ordered finite event set.
@@ -148,10 +155,11 @@ class EventSetContext:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_events, int) or not 1 <= self.n_events <= MAX_EVENTS:
+        if not _is_int(self.n_events) or not 1 <= self.n_events <= MAX_EVENTS:
             raise ContextError(
                 f"n_events must be an integer in [1, {MAX_EVENTS}], got {self.n_events!r}"
             )
+        object.__setattr__(self, "n_events", int(self.n_events))
         labels = tuple(self.labels)
         if not labels:
             labels = tuple(f"x{k}" for k in range(self.n_events))
@@ -301,38 +309,31 @@ class MarginalSet:
 # the two distribution kinds
 
 
-def _frozen_values(values, size: int, copy: bool = True) -> np.ndarray:
-    """Flat, read-only, finite float64 values; ``copy=False`` adopts a fresh float64 array."""
-    arr = (np.array(values, dtype=np.float64) if copy else values).reshape(-1)
-    if arr.shape != (size,):
-        raise ContextError(f"expected {size} values, got shape {np.shape(values)}")
-    if not np.isfinite(arr).all():
-        raise InvalidDistributionError("values must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class Epd1:
-    """First-kind table: probability of each exact occurrence pattern.
-
-    Construction only checks shape and finiteness so that diagnostic
-    tables (deliberately invalid ones included) can be represented;
-    ``validate_epd1`` is the axiom check.
-    """
+class _Table:
+    """One float64 value per subset of the context's events; see the module conventions."""
 
     context: EventSetContext
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_values(self.values, self.context.size))
+    _size_error = ContextError  # the class a wrong-size table raises
+
+    def __post_init__(self, fresh: np.ndarray | None = None) -> None:
+        """Copy ``values`` (or take ``_adopt``'s ``fresh`` array), check it, flatten, freeze."""
+        arr = np.array(self.values, dtype=np.float64) if fresh is None else fresh
+        if arr.size != self.context.size:
+            raise self._size_error(f"expected {self.context.size} values, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidDistributionError("values must be finite")
+        object.__setattr__(self, "values", arr.reshape(-1))
+        self.values.setflags(write=False)
 
     @classmethod
-    def _adopt(cls, context: EventSetContext, values: np.ndarray) -> "Epd1":
+    def _adopt(cls, context: EventSetContext, values: np.ndarray):
         """The constructor without its copy, for a fresh float64 array nothing else holds."""
         d = object.__new__(cls)
         object.__setattr__(d, "context", context)
-        object.__setattr__(d, "values", _frozen_values(values, context.size, copy=False))
+        d.__post_init__(values)
         return d
 
     @property
@@ -344,21 +345,18 @@ class Epd1:
 
 
 @dataclass(frozen=True, eq=False)
-class Epd2:
+class Epd1(_Table):
+    """First-kind table: probability of each exact occurrence pattern.
+
+    Construction only checks shape and finiteness so that diagnostic
+    tables (deliberately invalid ones included) can be represented;
+    ``validate_epd1`` is the axiom check.
+    """
+
+
+@dataclass(frozen=True, eq=False)
+class Epd2(_Table):
     """Second-kind table: probability that each subset occurs jointly."""
-
-    context: EventSetContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_values(self.values, self.context.size))
-
-    @property
-    def n_events(self) -> int:
-        return self.context.n_events
-
-    def value(self, mask: int) -> float:
-        return float(self.values[self.context.check_mask(mask)])
 
 
 def clean_negative_dust(
@@ -423,7 +421,7 @@ def epd2_from_epd1(d: Epd1) -> Epd2:
     The empty-set output equals the input's total mass and is left as
     computed; validate_epd2 checks it against 1 within 1e-9.
     """
-    return Epd2(d.context, _superset_zeta(d.values, d.n_events))
+    return Epd2._adopt(d.context, _superset_zeta(d.values, d.n_events))
 
 
 def epd1_from_epd2(d: Epd2) -> Epd1:

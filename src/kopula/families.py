@@ -61,6 +61,7 @@ from .core import (
     ParameterRangeError,
     VALUE_ATOL,
     _UNIT_SNAP,
+    _is_int,
     clean_negative_dust,
 )
 
@@ -170,7 +171,7 @@ def epd_rows_from_kopula(
 
 def _grid_resolution(res) -> int:
     """The points per grid axis: an integer in [2, 2**20], else a ParameterRangeError."""
-    if isinstance(res, bool) or not isinstance(res, (int, np.integer)) or not 2 <= res <= 1 << 20:
+    if not _is_int(res) or not 2 <= res <= 1 << 20:
         raise ParameterRangeError(f"grid resolution must be an integer in [2, 2**20], got {res!r}")
     return int(res)
 

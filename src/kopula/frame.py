@@ -61,7 +61,9 @@ from .core import (
     SUM_ATOL,
     VALUE_ATOL,
     _MASS_EPS,
+    _Table,
     _halves,
+    _is_int,
     _superset_mobius,
     clean_negative_dust,
     clean_unit_interval,
@@ -102,24 +104,14 @@ def _drop_event_context(ctx: EventSetContext, frame_events: int) -> EventSetCont
 
 
 @dataclass(frozen=True, eq=False)
-class PseudoDistribution:
+class PseudoDistribution(_Table):
     """A joint slice: one frame cell of a larger table, mass below 1.
 
     ``values[S]`` is the probability of pattern S among the remaining
     events AND the frame cell; the values sum to the cell probability.
     """
 
-    context: EventSetContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        if arr.shape != (self.context.size,):
-            raise CompositionError(
-                f"expected {self.context.size} values, got {arr.shape[0]}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    _size_error = CompositionError
 
     @property
     def mass(self) -> float:
@@ -134,7 +126,7 @@ class PseudoDistribution:
         """
         v = self.values.copy()
         v[0] += 1.0 - self.mass
-        return Epd1(self.context, v)
+        return Epd1._adopt(self.context, v)
 
     @classmethod
     def from_own_epd(cls, epd: Epd1, cell_mass: float) -> "PseudoDistribution":
@@ -143,7 +135,7 @@ class PseudoDistribution:
             raise ParameterRangeError(f"cell mass {cell_mass} outside [0, 1]")
         v = epd.values.copy()
         v[0] -= 1.0 - cell_mass
-        return cls(epd.context, v)
+        return cls._adopt(epd.context, v)
 
 
 def conditional_epd(
@@ -176,7 +168,7 @@ def conditional_epd(
             f"frame cell {{{ctx.mask_label(y_subset)}}} of "
             f"{{{ctx.mask_label(frame_events)}}} has numerically zero mass ({mass:g})"
         )
-    return Epd1(sub_ctx, block / mass)
+    return Epd1._adopt(sub_ctx, block / mass)
 
 
 def pseudo_from_conditional(cond: Epd1, frame_prob: float) -> PseudoDistribution:
@@ -186,14 +178,14 @@ def pseudo_from_conditional(cond: Epd1, frame_prob: float) -> PseudoDistribution
     if frame_prob == 0.0:
         # the inverse map is undefined on a massless slice
         raise ConditioningError("frame probability is zero")
-    return PseudoDistribution(cond.context, cond.values * frame_prob)
+    return PseudoDistribution._adopt(cond.context, cond.values * float(frame_prob))
 
 
 def conditional_from_pseudo(pseudo: PseudoDistribution) -> Epd1:
     mass = pseudo.mass
     if mass <= _MASS_EPS:
         raise ConditioningError(f"slice has numerically zero mass ({mass:g})")
-    return Epd1(pseudo.context, pseudo.values / mass)
+    return Epd1._adopt(pseudo.context, pseudo.values / mass)
 
 
 def frame_split(joint: Epd1, frame_event: int) -> tuple[PseudoDistribution, PseudoDistribution]:
@@ -235,7 +227,7 @@ def frame_compose(
             k += 1
         frame_label = f"f{k}"
     ctx = EventSetContext(len(old) + 1, (frame_label,) + old)
-    return Epd1(ctx, np.stack((pseudo_out.values, pseudo_in.values), axis=-1))
+    return Epd1._adopt(ctx, np.stack((pseudo_out.values, pseudo_in.values), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ def _low_masks(n: int) -> np.ndarray:
 
 
 def _event_count(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_EVENTS:
+    if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
         raise ParameterRangeError(f"n_events must be an integer in [1, {MAX_EVENTS}], got {n!r}")
     return int(n)
 

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Epd1, InvalidDistributionError, ParameterRangeError, _event_sums, validate_epd1
+from .core import (
+    Epd1,
+    InvalidDistributionError,
+    ParameterRangeError,
+    _event_sums,
+    _is_int,
+    validate_epd1,
+)
 
 __all__ = ["SampleSpec", "sample_epd1", "sample_summary"]
 
@@ -22,10 +29,12 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
+        if not _is_int(self.n_samples) or self.n_samples < 1:
             raise ParameterRangeError(f"n_samples must be >= 1, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if not _is_int(self.seed) or not 0 <= int(self.seed) < 1 << 64:
             raise ParameterRangeError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _draw(d: Epd1, spec: SampleSpec, ascending: bool) -> np.ndarray:

@@ -400,3 +400,25 @@ def test_bad_oracle_or_validate_flags_exit_1(tmp_path, capsys, argv, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ko.InfeasibleParameterError, 2),
+        (ko.InvalidDistributionError, 2),
+        (ko.ParameterRangeError, 1),
+        (ko.DependencyError, 1),
+    ],
+)
+def test_library_errors_map_to_exit_codes_in_run(monkeypatch, capsys, error, code):
+    from kopula import cli
+
+    def failing(p, params):
+        raise error("the build refused its point")
+
+    monkeypatch.setattr(cli, "build_nset_epd", failing)
+    assert run(["oracle", "--n", "2", "--trials", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "the build refused its point\n"
