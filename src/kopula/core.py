@@ -211,7 +211,7 @@ class EventSetContext:
         return mask
 
     def check_mask(self, mask: int) -> int:
-        if not isinstance(mask, (int, np.integer)) or not 0 <= mask <= self.full_mask:
+        if not _is_int(mask) or not 0 <= mask <= self.full_mask:
             raise ContextError(f"subset index {mask!r} out of range for {self.n_events} events")
         return int(mask)
 

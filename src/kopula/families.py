@@ -36,9 +36,12 @@ is (2**n, rows).  A block holds thousands of points but a table only a
 few cells (4 for a pair), and numpy runs its inner loop over the last
 axis: with the points there, every branch, product and reduction runs
 once over a long row instead of once per point over a few cells.  The
-values are elementwise the same in either layout, and a custom ``base``
-must still broadcast masks against the leading axes of w, whichever
-layout it is handed.
+points of a ``grid_points`` block are column-major, so the coordinate
+column ``w[..., k]`` a family reads is contiguous.  The shipped families
+write each stage of a block into one array, in place.  The values are
+elementwise the same in either layout and either memory order, and a
+custom ``base`` must give the same values for any layout and memory
+order it is handed, broadcasting masks against the leading axes of w.
 
 A table built from a family finishes through ``core.clean_negative_dust``,
 as the frame and Mobius routes do: dust below zero is clamped with one
@@ -93,7 +96,8 @@ __all__ = [
 # Evaluator: marginal points w of shape (..., n) and subset masks
 # broadcastable against the leading axes of w, to values of the broadcast
 # shape.  The library passes blocks cells-outer (masks (2**n, 1) against
-# w (1, rows, n)); an evaluator must give the same values for any layout.
+# w (1, rows, n), w column-major); an evaluator must give the same values
+# for any layout and memory order.
 # The returned array may be one the evaluator keeps, or read-only: the
 # library never writes into it.
 BaseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -189,7 +193,8 @@ def grid_points(
     ``fixed`` holds its value; any other coordinate is 0.  Rows come in
     ``itertools.product`` order over ``axes`` (the last one fastest),
     and a block holds about 2**16 table cells, so the (rows, 2**n) value
-    blocks stay small.
+    blocks stay small.  Each block is column-major: a coordinate's
+    values are contiguous.
     """
     resolution = _grid_resolution(resolution)
     axes = list(range(n)) if axes is None else list(axes)
@@ -201,7 +206,8 @@ def grid_points(
     step = max(1, (1 << 16) >> n)
     for start in range(0, total, step):
         rest = np.arange(start, min(start + step, total))
-        w = np.tile(base, (rest.size, 1))
+        w = np.empty((rest.size, n), order="F")  # column-major: each coordinate is contiguous
+        w[:] = base
         for k in reversed(axes):  # peel the row index's digits off, the last axis first
             rest, digit = np.divmod(rest, resolution)
             w[:, k] = axis[digit]
@@ -300,7 +306,9 @@ def verify_one_function(
             min_point = tuple(float(v) for v in w[r])
             min_subset = s
 
-        residual = np.abs(bits @ values - w.T)
+        residual = bits @ values
+        residual -= w.T
+        np.abs(residual, out=residual)
         worst = residual.max(axis=0)
         r = int(np.argmax(worst))
         if max_res == max_res and not max_res >= worst[r]:
@@ -309,7 +317,9 @@ def verify_one_function(
             res_point = tuple(float(v) for v in w[r])
             res_event = e
 
-        dev = np.abs(values.sum(axis=0) - 1.0)
+        dev = values.sum(axis=0)
+        dev -= 1.0
+        np.abs(dev, out=dev)
         r = int(np.argmax(dev))
         if max_dev == max_dev and not max_dev >= dev[r]:
             max_dev = float(dev[r])
@@ -341,11 +351,15 @@ def independent_kopula(context: EventSetContext) -> KopulaFamily:
     n = context.n_events
 
     def base(w: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        # a running product over the events, k ascending, so no (..., n)
-        # stack of mirrored points is ever held
+        # a running product over the events, k ascending, in place: each
+        # cell takes w_k or 1 - w_k, and no (..., n) stack of mirrored
+        # points is ever held
         out = np.ones(np.broadcast_shapes(masks.shape, w.shape[:-1]))
         for k in range(n):
-            out *= np.where(masks & (1 << k), w[..., k], 1.0 - w[..., k])
+            has = (masks & (1 << k)) != 0
+            w_k = w[..., k]
+            np.multiply(out, w_k, out=out, where=has)
+            np.multiply(out, 1.0 - w_k, out=out, where=~has)
         return out
 
     return KopulaFamily(context, base, "independent")
@@ -402,16 +416,16 @@ def parametric_2kopula(
         fv = np.clip(fv, 0.0, cap)
         agree_x = (wx <= 0.5) == ((masks & 1) != 0)
         agree_y = (wy <= 0.5) == ((masks & 2) != 0)
-        # the four slots of the folded doublet table
-        return np.where(
-            agree_x & agree_y,
-            fv,
-            np.where(
-                agree_x,
-                ax - fv,
-                np.where(agree_y, ay - fv, 1.0 - ax - ay + fv),
-            ),
-        )
+        # the four slots of the folded doublet table, written into one array:
+        # neither agrees, then agree_y, then agree_x, then both, each over the last
+        out = np.empty(np.broadcast_shapes(masks.shape, w.shape[:-1]))
+        np.subtract(1.0, ax, out=out)
+        out -= ay
+        out += fv
+        np.copyto(out, ay - fv, where=agree_y)
+        np.copyto(out, ax - fv, where=agree_x)
+        np.copyto(out, fv, where=agree_x & agree_y)
+        return out
 
     return KopulaFamily(ctx, base, name, dict(params or {}))
 

@@ -159,16 +159,22 @@ def conditional_epd(
             f"frame events {ctx.mask_label(frame_events)!r}"
         )
     sub_ctx = _drop_event_context(ctx, frame_events)
-    block = joint.values
-    for k in sorted(mask_bits(frame_events), reverse=True):  # lower events keep their bit
-        block = _halves(block, k)[y_subset >> k & 1].ravel()
+    # the frame cell, selected as one view (axis i of the (2,)*n reshape is
+    # event n-1-i) and copied once in C order: the copy is summed, so the mass
+    # rounds as a contiguous sum does, and becomes the result in place
+    cell = tuple(
+        y_subset >> k & 1 if frame_events >> k & 1 else slice(None)
+        for k in reversed(range(ctx.n_events))
+    )
+    block = joint.values.reshape((2,) * ctx.n_events)[cell].copy()
     mass = float(block.sum())
     if mass <= _MASS_EPS:
         raise ConditioningError(
             f"frame cell {{{ctx.mask_label(y_subset)}}} of "
             f"{{{ctx.mask_label(frame_events)}}} has numerically zero mass ({mass:g})"
         )
-    return Epd1._adopt(sub_ctx, block / mass)
+    block /= mass
+    return Epd1._adopt(sub_ctx, block)
 
 
 def pseudo_from_conditional(cond: Epd1, frame_prob: float) -> PseudoDistribution:

@@ -376,6 +376,71 @@ class TestLayout:
         assert same_bits(inner, reference)
         assert same_bits(fam(w[0], masks), reference[0])
 
+    @pytest.mark.parametrize(
+        "family",
+        PAIR_FAMILIES + [ko.independent_kopula(ko.EventSetContext(n)) for n in range(1, 9)],
+        ids=lambda f: f"{f.name}-{f.context.n_events}",
+    )
+    def test_memory_order_of_the_points(self, family):
+        """Grid blocks are column-major; a C-ordered copy gives the same bits."""
+        n = family.context.n_events
+        c_order = layout_points(n)
+        f_order = np.asfortranarray(c_order)
+        assert f_order.flags.f_contiguous and c_order.flags.c_contiguous
+        masks = np.arange(1 << n)
+        assert same_bits(family(f_order[None, :, :], masks[:, None]),
+                         family(c_order[None, :, :], masks[:, None]))
+        assert same_bits(family(f_order[:, None, :], masks[None, :]),
+                         family(c_order[:, None, :], masks[None, :]))
+
+
+LIFTED_PAIR_FNS = [
+    ("upper", lambda a, b: a + 0.0 * b),
+    ("lower", lambda a, b: np.maximum(0.0, a + b - 1.0)),
+    *((f"{name}({theta:g})", ko.classical_pair_param(name, theta)) for name, theta in [
+        ("amh", -1.0), ("clayton", 2.5), ("frank", -4.0), ("frank", 50.0), ("gumbel", 3.0),
+        ("joe", 3.0),
+    ]),
+]
+
+
+def four_slot_reference(f, w, masks):
+    """The pair lift applied cell by cell: (rows, cells) from f on the block's folded pairs."""
+    ax = np.minimum(w[:, 0], 1.0 - w[:, 0])
+    ay = np.minimum(w[:, 1], 1.0 - w[:, 1])
+    lo = np.minimum(ax, ay)
+    fv = np.clip(np.asarray(f(lo, np.maximum(ax, ay)), dtype=np.float64), 0.0, lo)
+    out = np.empty((len(w), len(masks)))
+    for r, (wx, wy) in enumerate(w):
+        for c, m in enumerate(masks):
+            agree_x = (wx <= 0.5) == bool(m & 1)
+            agree_y = (wy <= 0.5) == bool(m & 2)
+            if agree_x and agree_y:
+                out[r, c] = fv[r]
+            elif agree_x:
+                out[r, c] = ax[r] - fv[r]
+            elif agree_y:
+                out[r, c] = ay[r] - fv[r]
+            else:
+                out[r, c] = 1.0 - ax[r] - ay[r] + fv[r]
+    return out
+
+
+@pytest.mark.parametrize("name, f", LIFTED_PAIR_FNS, ids=[name for name, _ in LIFTED_PAIR_FNS])
+def test_pair_lift_fills_the_four_slots_cell_by_cell(name, f):
+    corners = np.array([(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)])
+    w = np.concatenate([corners, layout_points(2, rows=64)])
+    masks = np.arange(4)
+    fam = ko.parametric_2kopula(f, name)
+    want = four_slot_reference(f, w, masks)
+    assert same_bits(fam(w[:, None, :], masks[None, :]), want)
+    assert same_bits(fam(w[None, :, :], masks[:, None]).T, want)
+    for m in masks:  # a scalar mask, against the block and against each corner alone
+        assert same_bits(fam(w, np.int64(m)), want[:, m])
+        # corners only: elsewhere a 0-d ``**`` may round unlike the block's
+        for r, corner in enumerate(corners):
+            assert same_bits(fam(corner, np.int64(m)), want[r, m])
+
 
 def reference_report(k, resolution, tol=1e-8):
     """The report fields of ``verify_one_function``, scanned point by point.
@@ -444,6 +509,85 @@ class TestReportAgainstPointScan:
         assert report.max_marginal_residual == 0.25
         assert report.marginal_point == (0.0, 0.0)
         assert report.marginal_event == 0
+
+
+def passes(name, n, points, resolution):
+    return (
+        f"family {name!r} ({n} events) passes the 1-function checks on {points} grid points "
+        f"(resolution {resolution}, tol 1e-08)\n"
+    )
+
+
+RECORDED_REPORTS = [
+    (ko.frechet_upper_2(PAIR), 401, passes("frechet_upper", 2, 160801, 401)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0)\n"
+     "  max marginal residual 1.110223e-16 for event 1 at point (0.06, 0.5025000000000001)\n"
+     "  max sum deviation 2.220446e-16 at point (0.0375, 0.28750000000000003)"),
+    (classical("clayton", 2.5), 401, passes("clayton", 2, 160801, 401)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0)\n"
+     "  max marginal residual 1.110223e-16 for event 1 at point (0.0025, 0.51)\n"
+     "  max sum deviation 2.220446e-16 at point (0.0025, 0.0025)"),
+    (classical("frank", -4.0), 401, passes("frank", 2, 160801, 401)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0)\n"
+     "  max marginal residual 1.110223e-16 for event 1 at point (0.0025, 0.505)\n"
+     "  max sum deviation 2.220446e-16 at point (0.0025, 0.0025)"),
+    (classical("gumbel", 3.0), 401, passes("gumbel", 2, 160801, 401)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0)\n"
+     "  max marginal residual 1.110223e-16 for event 1 at point (0.0025, 0.51)\n"
+     "  max sum deviation 2.220446e-16 at point (0.0025, 0.0075)"),
+    (PAIR_FAMILIES[-1], 401,
+     passes("convex(0.2*frechet_upper, 0.5*frechet_lower, 0.3*independent)", 2, 160801, 401)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0)\n"
+     "  max marginal residual 2.220446e-16 for event 1 at point (0.0175, 1.0)\n"
+     "  max sum deviation 3.330669e-16 at point (0.0775, 0.05)"),
+    (ko.independent_kopula(ko.EventSetContext(3)), 31, passes("independent", 3, 29791, 31)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0, 0.0)\n"
+     "  max marginal residual 3.330669e-16 for event 2 at point "
+     "(0.26666666666666666, 0.26666666666666666, 0.9666666666666667)\n"
+     "  max sum deviation 4.440892e-16 at point "
+     "(0.03333333333333333, 0.13333333333333333, 0.13333333333333333)"),
+    (ko.independent_kopula(ko.EventSetContext(4)), 13, passes("independent", 4, 28561, 13)
+     + "  min value 0.000000e+00 at subset index 1, point (0.0, 0.0, 0.0, 0.0)\n"
+     "  max marginal residual 4.440892e-16 for event 2 at point "
+     "(0.16666666666666666, 0.16666666666666666, 0.9166666666666666, 0.16666666666666666)\n"
+     "  max sum deviation 6.661338e-16 at point "
+     "(0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.25)"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, resolution, text", RECORDED_REPORTS,
+    ids=[f"{f.name}-{f.context.n_events}" for f, _, _ in RECORDED_REPORTS],
+)
+def test_report_text_is_the_recorded_one(family, resolution, text):
+    """The report text, pinned: evaluating in place must not move it by a digit."""
+    assert ko.verify_one_function(family, resolution).describe() == text
+
+
+def traced_mib(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "family, resolution, bound",
+    [
+        # traced 3.70 MiB with out-of-place lift and checks, 3.14 MiB in place
+        (classical("clayton", 2.5), 401, 3.5),
+        # traced 2.08 MiB with out-of-place products and checks, 1.44 MiB in place
+        (ko.independent_kopula(ko.EventSetContext(4)), 13, 1.75),
+    ],
+    ids=["clayton-401", "independent4-13"],
+)
+def test_verify_one_function_evaluates_in_place(family, resolution, bound):
+    peak = traced_mib(lambda: ko.verify_one_function(family, resolution))
+    assert peak < bound, f"peak {peak:.2f} MiB"
 
 
 def test_independent_table_memory_stays_near_one_table():
