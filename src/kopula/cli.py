@@ -27,6 +27,7 @@ from typing import IO, Callable, Mapping
 
 import numpy as np
 
+from ._floattext import join_reprs
 from .core import (
     Epd1,
     Epd2,
@@ -62,6 +63,7 @@ from .oracles import (
 from .phenomena import half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, _summary_arrays, sample_summary
 from .serialize import (
+    _BLOCK,
     ConfigError,
     _grid_csv_rows,
     _json_chunks,
@@ -380,6 +382,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     worst = max(worst, float(differ))
     lines.append(f"  table text: one-pass writers vs reference encoders: "
                  f"{differ} of {4 * n} documents differ")
+
+    # the writers' float-text kernel on one full block: finite bit patterns of
+    # every exponent, after both zeros and the ends of the subnormal range
+    bits = (rng.integers(0, 2, _BLOCK, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(0, 2047, _BLOCK, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 1 << 52, _BLOCK, dtype=np.uint64))
+    block = bits.view(np.float64)
+    block[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]
+    texts = join_reprs(block, ",").split(",")
+    reprs = map(repr, block.tolist())
+    wrong = sum(map(str.__ne__, texts, reprs)) if len(texts) == _BLOCK else _BLOCK
+    worst = max(worst, float(wrong))
+    lines.append(f"  float text: Ryu kernel vs repr: {wrong} of {_BLOCK} values differ")
     verdict = "agree" if worst <= args.tol else "DISAGREE"
     lines.append(f"kernels {verdict} within {args.tol:g} (worst {worst:.3e})")
     print("\n".join(lines))

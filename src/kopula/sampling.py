@@ -37,18 +37,15 @@ class SampleSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _draw(d: Epd1, spec: SampleSpec, ascending: bool) -> np.ndarray:
-    """Inverse-CDF masks of the spec's PCG64 uniforms, in draw order or ascending."""
+def _cdf_and_uniforms(d: Epd1, spec: SampleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The table's normalized CDF and the spec's PCG64 uniforms, in draw order."""
     report = validate_epd1(d)
     if not report.ok:
         raise InvalidDistributionError(f"refusing to sample: {report.describe()}")
     cdf = np.cumsum(d.values)
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    u = rng.random(spec.n_samples)
-    if ascending:
-        u.sort()  # sorted keys keep the binary searches in cache
-    return np.minimum(np.searchsorted(cdf, u, side="right"), d.context.size - 1)
+    return cdf, rng.random(spec.n_samples)
 
 
 def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
@@ -57,16 +54,27 @@ def sample_epd1(d: Epd1, spec: SampleSpec) -> np.ndarray:
     Inverse-CDF draws from one PCG64 stream; a fixed seed fixes the
     output exactly.
     """
-    return _draw(d, spec, ascending=False).astype(np.int64)
+    cdf, u = _cdf_and_uniforms(d, spec)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), d.context.size - 1).astype(np.int64)
 
 
 def _summary_arrays(d: Epd1, spec: SampleSpec) -> tuple[dict, np.ndarray, np.ndarray]:
     """``sample_summary`` with its 2**n-entry ``counts`` and ``frequencies`` left as arrays.
 
-    The first item is the summary without those two keys.
+    The first item is the summary without those two keys.  Mask k is
+    drawn for a uniform in ``[cdf[k-1], cdf[k])``, so its count is the
+    difference of two positions of the CDF among the sorted uniforms: one
+    binary search per cell.  The last end, ``cdf[-1] = 1``, is above
+    every uniform.
     """
     n = d.context.n_events
-    counts = np.bincount(_draw(d, spec, ascending=True), minlength=d.context.size)
+    cdf, u = _cdf_and_uniforms(d, spec)
+    u.sort()
+    ends = np.searchsorted(u, cdf, side="left")
+    del cdf, u
+    counts = ends.copy()
+    counts[1:] -= ends[:-1]
+    del ends
     marg = _event_sums(counts, n) / spec.n_samples
     head = {
         "n_events": n,
@@ -84,8 +92,8 @@ def sample_summary(d: Epd1, spec: SampleSpec) -> dict:
 
     Plain-python values throughout so the dict serializes to identical
     bytes on reruns (keys sorted at dump time).  The counts ignore draw
-    order, so the uniforms are looked up in ascending order; the
-    marginals are exact integer sums of the counts.
+    order: they are read off the sorted uniforms at the CDF's cell
+    boundaries; the marginals are exact integer sums of the counts.
     """
     head, counts, frequencies = _summary_arrays(d, spec)
     return {**head, "counts": counts.tolist(), "frequencies": frequencies.tolist()}

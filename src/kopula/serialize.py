@@ -11,11 +11,19 @@ per row.  Every input document is decoded by ``_read_json``, the one
 ``json.load``.  Every JSON output is the text of ``_json_chunks``, the
 one writer: ``json.dumps`` writes the document with its number lists
 left empty, and each list is spliced back in, formatted ``_BLOCK``
-values at a time.  ``dump_json`` joins the pieces into one string;
-``save_epd`` and the CLI's sample summary hand them to the file as they
-come, so a table is written from its array without a list or text of
-its own.  The rows of ``kopula grid`` are formatted by ``_grid_csv_rows``
-a block at a time, each distinct float of the block once.
+values at a time by ``_number_text``.  A full block of 2^12 finite
+float64 values goes through ``_floattext.join_reprs``, which finds
+``repr``'s shortest round-trip digits with Ryu (U. Adams, "Ryū: fast
+float-to-string conversion", PLDI 2018) in numpy passes over the whole
+block; any other block goes through the C encoder, one ``float.__repr__``
+per value.  The kernel's fixed cost, a few dozen numpy calls, loses to
+the encoder on short blocks, hence the full-block rule; the CSV writer
+formats its values the same way.  ``dump_json`` joins the pieces into
+one string; ``save_epd`` and the CLI's sample summary hand them to the
+file as they come, so a table is written from its array without a list
+or text of its own.  The rows of ``kopula grid`` are formatted by
+``_grid_csv_rows`` a block at a time, each distinct float of the block
+once.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
@@ -32,6 +40,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
+from ._floattext import join_reprs
 from .core import (
     DependencyError,
     Epd1,
@@ -105,6 +114,20 @@ _BLOCK_EVENTS = 12
 _BLOCK = 1 << _BLOCK_EVENTS  # values, or CSV rows, formatted per piece of output text
 
 
+def _number_text(block, sep: str) -> str:
+    """The JSON text of the numbers in ``block`` (an array or a list), ``sep`` between them.
+
+    A full ``_BLOCK`` of finite float64 values goes through ``join_reprs``;
+    any other block through the C encoder, as the values of one list.
+    """
+    if isinstance(block, np.ndarray):
+        if (block.size == _BLOCK and block.dtype == np.float64
+                and np.isfinite(block.min()) and np.isfinite(block.max())):
+            return join_reprs(block, sep)
+        block = block.tolist()
+    return json.dumps(block, separators=(sep, ": "))[1:-1]
+
+
 def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
     """The canonical text of ``obj`` with the arrays ``bulk`` added as top-level lists, in pieces.
 
@@ -113,8 +136,8 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
     ``bulk[key].tolist()`` under each key.  That call writes the text,
     except that each of ``bulk`` and each non-empty top-level list of
     plain ints and floats under a string key, such as a table's values, is
-    left empty in it and spliced back in: its body is written by the C
-    encoder ``_BLOCK`` values at a time, one piece per block.
+    left empty in it and spliced back in: its body is written ``_BLOCK``
+    values at a time by ``_number_text``, one piece per block.
     """
     if isinstance(obj, dict):
         bulk.update(
@@ -131,11 +154,8 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
         yield marker
         values = bulk[key]
         for start in range(0, len(values), _BLOCK):
-            block = values[start:start + _BLOCK]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
             yield ",\n    " if start else "\n    "
-            yield json.dumps(block, separators=(",\n    ", ": "))[1:-1]
+            yield _number_text(values[start:start + _BLOCK], ",\n    ")
         yield "\n  "
     yield rest
     yield "\n"
@@ -263,14 +283,15 @@ def write_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
     """One ``mask,subset_labels,value`` row per subset, in mask order.
 
     The text is that of ``oracles.naive_epd_csv``: ``mask_label`` of each
-    mask and the shortest round-trip repr of its value.  Each block of
-    ``_subset_label_blocks`` goes to ``fp`` in one write.
+    mask and the shortest round-trip repr of its value, formatted by
+    ``_number_text``.  Each block of ``_subset_label_blocks`` goes to
+    ``fp`` in one write.
     """
     fp.write("mask,subset_labels,value\n")
     for start, labels in _subset_label_blocks(d.context):
         stop = start + len(labels)
-        rows = zip(range(start, stop), labels, d.values[start:stop].tolist())
-        fp.write("".join([f"{m},{lab},{v!r}\n" for m, lab, v in rows]))
+        rows = zip(range(start, stop), labels, _number_text(d.values[start:stop], "\n").split("\n"))
+        fp.write("".join([f"{m},{lab},{v}\n" for m, lab, v in rows]))
 
 
 def _grid_csv_rows(w: np.ndarray, keep: np.ndarray, values: np.ndarray) -> str:

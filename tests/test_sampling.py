@@ -86,3 +86,16 @@ class TestSampleSummary:
         s = ko.sample_summary(d, ko.SampleSpec(100, seed=1))
         assert isinstance(s["marginals"][0], float)
         assert isinstance(s["counts"][0], int)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_counts_are_the_draws_counted(self, trial):
+        # counts come from binary searches of the CDF in the sorted uniforms;
+        # they must be the per-draw masks counted, zero cells and all
+        rng = np.random.default_rng([7, trial])
+        n = int(rng.integers(1, 9))
+        v = rng.random(1 << n) * (rng.random(1 << n) < 0.6)
+        v[int(rng.integers(0, 1 << n))] += 0.1
+        d = ko.Epd1(ko.EventSetContext(n), v / v.sum())
+        spec = ko.SampleSpec(int(rng.integers(1, 5000)), seed=int(rng.integers(0, 1 << 32)))
+        expected = np.bincount(ko.sample_epd1(d, spec), minlength=d.context.size)
+        assert ko.sample_summary(d, spec)["counts"] == expected.tolist()

@@ -62,3 +62,12 @@ def test_cli_budget_runs_every_table_command():
         assert 0 < row["read_s"] <= row["run_s"] < row["wall_s"]
         assert 0 < row["read_rss_mb"] <= row["peak_rss_mb"]
         assert row["out_mb"] > 0
+
+
+def test_floattext_check_agrees_on_random_bit_patterns():
+    proc = run_script("floattext_check.py", "--millions", "0.01", "--seed", "5")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["drawn"] == 10_000 and 9_980 <= record["finite"] <= 10_000
+    assert record["mismatches"] == 0
+    assert record["kernel_values_per_s"] > 0 and record["repr_values_per_s"] > 0

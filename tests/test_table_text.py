@@ -337,6 +337,28 @@ def test_oracle_text_mismatch_exit_4(monkeypatch, capsys):
     assert "DISAGREE" in out
 
 
+def test_oracle_checks_the_float_text_kernel(capsys):
+    assert run(["oracle", "--n", "2", "--trials", "1"]) == 0
+    assert "float text: Ryu kernel vs repr: 0 of 4096 values differ" in capsys.readouterr().out
+
+
+def test_oracle_float_text_mismatch_exit_4(monkeypatch, capsys):
+    from kopula import cli
+
+    kernel = cli.join_reprs
+
+    def one_value_off(values, sep):
+        texts = kernel(values, sep).split(sep)
+        texts[7] += "0"
+        return sep.join(texts)
+
+    monkeypatch.setattr(cli, "join_reprs", one_value_off)
+    assert run(["oracle", "--n", "2", "--trials", "1"]) == 4
+    out = capsys.readouterr().out
+    assert "float text: Ryu kernel vs repr: 1 of 4096 values differ" in out
+    assert "DISAGREE" in out
+
+
 # ---------------------------------------------------------------------------
 # typed readers
 

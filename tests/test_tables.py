@@ -119,6 +119,20 @@ class TestBuildersAdopt:
         # traced 1.13 tables: the stacked slices, adopted
         assert peak < 1.5, f"peak {peak:.2f} tables"
 
+    def test_adopting_checks_finiteness_without_a_table_of_its_own(self, big):
+        fresh = big.values.copy()
+        out, peak = traced_tables(lambda: ko.Epd1._adopt(big.context, fresh))
+        assert np.shares_memory(out.values, fresh)
+        # traced 0.125 tables when finiteness was checked through a 2**N bool array
+        assert peak < 1 / 16, f"peak {peak:.3f} tables"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_adopting_rejects_a_non_finite_cell(self, big, bad):
+        fresh = big.values.copy()
+        fresh[12345] = bad
+        with pytest.raises(ko.InvalidDistributionError, match="values must be finite"):
+            ko.Epd1._adopt(big.context, fresh)
+
     def test_own_epd_holds_one_slice(self, big):
         inside, _ = ko.frame_split(big, 0)
         out, peak = traced_tables(inside.own_epd)
