@@ -67,9 +67,10 @@ from .serialize import (
     ConfigError,
     _grid_csv_rows,
     _json_chunks,
+    _read_event,
     _read_json,
+    _read_number,
     build_from_config,
-    dump_json,
     epd_to_dict,
     family_from_config,
     load_epd,
@@ -114,37 +115,27 @@ class GridSpec:
         both = sorted(set(self.axes) & set(self.fixed))
         if both:
             raise ConfigError(f"events {both} are both swept and fixed")
-        for k, v in self.fixed.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"fixed value for event {k} must be a number, got {v!r}")
+        fixed = {k: _read_number(v, f"fixed value for event {k}") for k, v in self.fixed.items()}
+        for k, v in fixed.items():
             if not 0.0 <= v <= 1.0:
                 raise ParameterRangeError(f"fixed value for event {k} is {v}, outside [0, 1]")
-        object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
+        object.__setattr__(self, "fixed", fixed)
 
 
 def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:
     """The grid a config asks for; a nonzero ``resolution`` overrides the config's."""
     n = ctx.n_events
-
-    def event_index(key) -> int:
-        if isinstance(key, bool) or not isinstance(key, (int, str)):
-            raise ConfigError(f"grid events are named by index or label, got {key!r}")
-        if isinstance(key, str):
-            key = int(key) if key.lstrip("-").isdigit() else ctx.index_of(key)
-        if not 0 <= key < n:
-            raise ParameterRangeError(f"no event with index {key}")
-        return key
-
     axes = cfg.get("axes", list(range(n)))
     if not isinstance(axes, list):
         raise ConfigError(f"'axes' must be a list of events, got {axes!r}")
     fixed = cfg.get("fixed", {})
     if not isinstance(fixed, Mapping):
         raise ConfigError(f"'fixed' must map events to probabilities, got {fixed!r}")
-    held = {event_index(k): v for k, v in fixed.items()}
+    held = {_read_event(k, ctx, "grid 'fixed'"): v for k, v in fixed.items()}
     if len(held) != len(fixed):
         raise ConfigError(f"'fixed' names an event twice: {list(fixed)}")
-    spec = GridSpec(resolution or cfg.get("resolution", 9), tuple(map(event_index, axes)), held)
+    swept = tuple(_read_event(k, ctx, "grid 'axes'") for k in axes)
+    spec = GridSpec(resolution or cfg.get("resolution", 9), swept, held)
     missing = [k for k in range(n) if k not in spec.axes and k not in spec.fixed]
     if missing:
         raise ParameterRangeError(
@@ -162,13 +153,6 @@ def _read_file(path: str, parse: Callable[[IO[str]], object]) -> object:
         raise _CliFailure(EXIT_PARSE, f"{path}: not UTF-8 text: {exc}") from None
     except (OSError, KopulaError) as exc:
         raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
-
-
-def _config(fp: IO[str]) -> dict:
-    obj = _read_json(fp)
-    if not isinstance(obj, dict):
-        raise ConfigError("expected a JSON object at top level")
-    return obj
 
 
 def _emit(write: Callable[[IO[str]], object], out: str | None) -> None:
@@ -193,7 +177,7 @@ def _epd_writer(d: Epd1 | Epd2, fmt: str) -> Callable[[IO[str]], object]:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    cfg = _read_file(args.config, _config)
+    cfg = _read_file(args.config, _read_json)
     d = build_from_config(cfg)
     del cfg
     _emit(_epd_writer(d, args.format), args.out)
@@ -201,7 +185,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    cfg = _read_file(args.config, _config)
+    cfg = _read_file(args.config, _read_json)
     fam = family_from_config(cfg)
     ctx = fam.context
     n = ctx.n_events
@@ -243,7 +227,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _read_file(args.config, _config)
+    cfg = _read_file(args.config, _read_json)
     fam = family_from_config(cfg)
     report = verify_one_function(fam, args.resolution, args.tol)
     print(report.describe())
@@ -368,17 +352,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         worst = max(worst, diff)
         lines.append(f"  {name}: max |diff| = {diff:.3e}")
 
+    def text(write: Callable[..., object], *args) -> str:
+        write(*args, fp := io.StringIO())
+        return fp.getvalue()
+
     differ = 0
     for m in range(1, n + 1):  # one table per event count: the text logic is not random
         v = rng.random(1 << m)
         d1 = Epd1(EventSetContext(m), v / v.sum())
-        summary = sample_summary(d1, SampleSpec(4 << m, seed=m))
-        for doc in (epd_to_dict(d1), epd_to_dict(epd2_from_epd1(d1)), summary):
-            differ += dump_json(doc) != reference_dump_json(doc)
-        fast, slow = io.StringIO(), io.StringIO()
-        write_epd_csv(d1, fast)
-        naive_epd_csv(d1, slow)
-        differ += fast.getvalue() != slow.getvalue()
+        d2, spec = epd2_from_epd1(d1), SampleSpec(4 << m, seed=m)
+        head, counts, frequencies = _summary_arrays(d1, spec)
+        fast = (text(save_epd, d1), text(save_epd, d2), text(write_epd_csv, d1),
+                "".join(_json_chunks(head, counts=counts, frequencies=frequencies)))
+        slow = (reference_dump_json(epd_to_dict(d1)), reference_dump_json(epd_to_dict(d2)),
+                text(naive_epd_csv, d1), reference_dump_json(sample_summary(d1, spec)))
+        differ += sum(map(str.__ne__, fast, slow))  # the writers the commands run
     worst = max(worst, float(differ))
     lines.append(f"  table text: one-pass writers vs reference encoders: "
                  f"{differ} of {4 * n} documents differ")

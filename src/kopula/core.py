@@ -323,7 +323,10 @@ class _Table:
         arr = np.array(self.values, dtype=np.float64) if fresh is None else fresh
         if arr.size != self.context.size:
             raise self._size_error(f"expected {self.context.size} values, got shape {arr.shape}")
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # no 2^N bool table
+        # one quiet sum: only a non-finite value or an overflow makes it non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not (np.isfinite(total) or np.isfinite(arr).all()):
             raise InvalidDistributionError("values must be finite")
         object.__setattr__(self, "values", arr.reshape(-1))
         self.values.setflags(write=False)

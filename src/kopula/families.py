@@ -495,16 +495,11 @@ def sine_diff_weight(scale: float = 15.0) -> WeightFn:
 
 
 def _weight_array(alpha: WeightFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if callable(alpha):
-        arr = np.asarray(alpha(a, b), dtype=np.float64)
-        arr = np.broadcast_to(arr, a.shape)
-        worst = float(np.max(np.abs(arr))) if arr.size else 0.0
-        if worst > 1.0 + _UNIT_SNAP:
-            raise ParameterRangeError(
-                f"weight function left [-1, 1]: max magnitude {worst}"
-            )
-        return np.clip(arr, -1.0, 1.0)
-    return np.full_like(a, float(constant_weight(alpha)))
+    arr = np.broadcast_to(np.asarray(alpha(a, b), dtype=np.float64), a.shape)
+    worst = float(np.max(np.abs(arr))) if arr.size else 0.0
+    if worst > 1.0 + _UNIT_SNAP:
+        raise ParameterRangeError(f"weight function left [-1, 1]: max magnitude {worst}")
+    return np.clip(arr, -1.0, 1.0)
 
 
 def convex_updown_2kopula(alpha: WeightFn) -> KopulaFamily:
@@ -513,16 +508,15 @@ def convex_updown_2kopula(alpha: WeightFn) -> KopulaFamily:
     alpha = -1 gives the minimal family, +1 the maximal, 0 their
     midpoint (which is not the independent family).
     """
-    if not callable(alpha):
-        constant_weight(alpha)
+    const = None if callable(alpha) else constant_weight(alpha)  # checked once, here
 
     def f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        al = _weight_array(alpha, a, b)
+        al = const if const is not None else _weight_array(alpha, a, b)
         lower = np.maximum(0.0, a + b - 1.0)
         upper = a  # = min(a, b), arguments arrive sorted
         return 0.5 * (1.0 - al) * lower + 0.5 * (1.0 + al) * upper
 
-    label = "convex_updown" if callable(alpha) else f"convex_updown({float(alpha):g})"
+    label = "convex_updown" if const is None else f"convex_updown({const:g})"
     return parametric_2kopula(f, label, params={"alpha": alpha})
 
 
@@ -533,16 +527,15 @@ def conjugated_2kopula(alpha: WeightFn) -> KopulaFamily:
     alpha pulls it toward min(a, b), reached at +1; alpha = 0 is exact
     independence.
     """
-    if not callable(alpha):
-        constant_weight(alpha)
+    const = None if callable(alpha) else constant_weight(alpha)  # checked once, here
 
     def f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        al = _weight_array(alpha, a, b)
+        al = const if const is not None else _weight_array(alpha, a, b)
         down = a * b * (1.0 + al)
         up = a * (b * (1.0 - al) + al)
         return np.where(al <= 0.0, down, up)
 
-    label = "conjugated" if callable(alpha) else f"conjugated({float(alpha):g})"
+    label = "conjugated" if const is None else f"conjugated({const:g})"
     return parametric_2kopula(f, label, params={"alpha": alpha})
 
 

@@ -159,14 +159,13 @@ def conditional_epd(
             f"frame events {ctx.mask_label(frame_events)!r}"
         )
     sub_ctx = _drop_event_context(ctx, frame_events)
-    # the frame cell, selected as one view (axis i of the (2,)*n reshape is
-    # event n-1-i) and copied once in C order: the copy is summed, so the mass
-    # rounds as a contiguous sum does, and becomes the result in place
-    cell = tuple(
-        y_subset >> k & 1 if frame_events >> k & 1 else slice(None)
-        for k in reversed(range(ctx.n_events))
-    )
-    block = joint.values.reshape((2,) * ctx.n_events)[cell].copy()
+    # the frame cell, one view (the frame events lead, last first, then the free
+    # events in mask order) copied once in C order: the copy is summed, so the
+    # mass rounds as a contiguous sum does, and becomes the result in place
+    frame = list(mask_bits(frame_events))
+    free = [k for k in range(ctx.n_events) if not frame_events >> k & 1]
+    cell = tuple(y_subset >> k & 1 for k in reversed(frame))
+    block = transpose_events(joint.values, free + frame)[cell].copy()
     mass = float(block.sum())
     if mass <= _MASS_EPS:
         raise ConditioningError(

@@ -11,23 +11,21 @@ per row.  Every input document is decoded by ``_read_json``, the one
 ``json.load``.  Every JSON output is the text of ``_json_chunks``, the
 one writer: ``json.dumps`` writes the document with its number lists
 left empty, and each list is spliced back in, formatted ``_BLOCK``
-values at a time by ``_number_text``.  A full block of 2^12 finite
-float64 values goes through ``_floattext.join_reprs``, which finds
-``repr``'s shortest round-trip digits with Ryu (U. Adams, "Ryū: fast
-float-to-string conversion", PLDI 2018) in numpy passes over the whole
-block; any other block goes through the C encoder, one ``float.__repr__``
-per value.  The kernel's fixed cost, a few dozen numpy calls, loses to
-the encoder on short blocks, hence the full-block rule; the CSV writer
-formats its values the same way.  ``dump_json`` joins the pieces into
-one string; ``save_epd`` and the CLI's sample summary hand them to the
-file as they come, so a table is written from its array without a list
-or text of its own.  The rows of ``kopula grid`` are formatted by
+values at a time by ``_number_text``: a full block of 2^12 finite
+float64 values through ``_floattext.join_reprs`` (Ryu's digits in numpy
+passes, which beat the C encoder on full blocks only), any other block
+through the C encoder; the CSV writer formats its values the same way.
+``dump_json`` joins the pieces into one string; ``save_epd`` and the
+CLI's sample summary hand them to the file as they come, so a table is
+written from its array without a list or text of its own.  The rows of ``kopula grid`` are formatted by
 ``_grid_csv_rows`` a block at a time, each distinct float of the block
 once.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
-and tests share one vocabulary.  See the README for the full schema.
+and tests share one vocabulary.  The typed readers (``_read_number`` and
+the rest) are the one typing rule for every field and grid event name.
+See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -50,16 +48,17 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
+    _is_int,
     clean_unit_interval,
     validate_epd1,
     validate_epd2,
 )
 from .correlation import params_from_kor3
 from .families import (
+    _CLASSICAL,
     KopulaFamily,
     classical_pair_param,
     conjugated_2kopula,
-    constant_weight,
     convex_combination,
     convex_updown_2kopula,
     epd_from_kopula,
@@ -86,28 +85,28 @@ __all__ = [
     "CLASSICAL_FAMILIES",
 ]
 
-CLASSICAL_FAMILIES = ("amh", "clayton", "frank", "gumbel", "joe")
+CLASSICAL_FAMILIES = tuple(_CLASSICAL)
 
 
 class ConfigError(KopulaError, ValueError):
     """A config document is structurally wrong or missing required keys."""
 
 
-_PLAIN_NUMBERS = {int, float}
+def _read_json(fp: IO[str]) -> dict:
+    """The one decode of an input document, config or table, which must be a JSON object.
 
-
-def _read_json(fp: IO[str]):
-    """The one decode of an input document; JSON it cannot read is a ConfigError.
-
-    That covers an integer past Python's int-digit limit and nesting past the
-    recursion limit.  A ``UnicodeDecodeError`` passes, for the caller to name the file.
+    Anything else is a ConfigError, JSON past Python's int-digit or recursion
+    limit included.  A ``UnicodeDecodeError`` passes, for the caller to name the file.
     """
     try:
-        return json.load(fp)
+        obj = json.load(fp)
     except UnicodeDecodeError:
         raise
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError("expected a JSON object at top level")
+    return obj
 
 
 _BLOCK_EVENTS = 12
@@ -121,9 +120,9 @@ def _number_text(block, sep: str) -> str:
     any other block through the C encoder, as the values of one list.
     """
     if isinstance(block, np.ndarray):
-        if (block.size == _BLOCK and block.dtype == np.float64
-                and np.isfinite(block.min()) and np.isfinite(block.max())):
-            return join_reprs(block, sep)
+        if block.size == _BLOCK and block.dtype == np.float64:
+            with contextlib.suppress(ValueError):  # a non-finite value: the encoder writes it
+                return join_reprs(block, sep)
         block = block.tolist()
     return json.dumps(block, separators=(sep, ": "))[1:-1]
 
@@ -135,15 +134,15 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
     (``oracles.reference_dump_json``), where ``doc`` is ``obj`` with
     ``bulk[key].tolist()`` under each key.  That call writes the text,
     except that each of ``bulk`` and each non-empty top-level list of
-    plain ints and floats under a string key, such as a table's values, is
-    left empty in it and spliced back in: its body is written ``_BLOCK``
+    numbers (``_all_numbers``) under a string key, such as a table's values,
+    is left empty in it and spliced back in: its body is written ``_BLOCK``
     values at a time by ``_number_text``, one piece per block.
     """
     if isinstance(obj, dict):
         bulk.update(
             (key, values) for key, values in obj.items()
             if isinstance(key, str) and isinstance(values, list) and values
-            and set(map(type, values)) <= _PLAIN_NUMBERS
+            and _all_numbers(values)
         )
         obj = {**obj, **dict.fromkeys(bulk, [])} if bulk else obj
     rest = json.dumps(obj, sort_keys=True, indent=2)
@@ -174,12 +173,18 @@ def dump_json(obj, fp: IO[str] | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# typed readers: every scalar or list field of a table or config goes
-# through one of these, so a wrong JSON type is a ConfigError
+# typed readers: every field of a table or config, and every event a grid
+# names, goes through one of these, so a wrong JSON type is a ConfigError
+
+
+def _all_numbers(values) -> bool:
+    """Every item an int or a float, not a bool (``np.float64`` counts): one C pass, by type."""
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values)))
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """The same rule for one value, so the two cannot drift apart."""
+    return _all_numbers((value,))
 
 
 def _read_number(value, what: str) -> float:
@@ -192,20 +197,37 @@ def _read_number(value, what: str) -> float:
 
 def _read_int(value, what: str) -> int:
     """A JSON integer (not a bool, not a float such as 1.5 or 2.0)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if _is_int(value):
+        return int(value)
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def _read_numbers(values, what: str) -> list:
-    """A list of JSON numbers, returned as it is for numpy to convert in one pass."""
+def _read_numbers(values, what: str) -> np.ndarray:
+    """A list of JSON numbers as one float64 array, converted in one pass."""
     if not isinstance(values, list):
         raise ConfigError(f"{what} must be a list of numbers, got {type(values).__name__}")
-    if not set(map(type, values)) <= _PLAIN_NUMBERS:  # one C pass decides the common case
-        for k, v in enumerate(values):
-            if not _is_number(v):
-                raise ConfigError(f"{what}[{k}] must be a number, got {v!r}")
-    return values
+    if _all_numbers(values):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            return np.array(values, dtype=np.float64)
+    # some entry is not a number, or an integer beyond float range: the first one raises
+    return np.array([_read_number(v, f"{what}[{k}]") for k, v in enumerate(values)])
+
+
+def _read_event(key, ctx: EventSetContext, what: str) -> int:
+    """An event's index: a JSON integer (not a bool) or a string of ASCII decimal
+    digits with an optional leading '-' is one; any other string is a label in ``ctx``."""
+    if isinstance(key, str):
+        if not (key.isascii() and key.removeprefix("-").isdigit()):
+            return ctx.index_of(key)
+        try:
+            key = int(key)
+        except ValueError:  # more digits than int() reads: no event has that index
+            raise ParameterRangeError(f"{what}: no event with index {key}") from None
+    elif not _is_int(key):
+        raise ConfigError(f"{what}: events are named by index or label, got {key!r}")
+    if not 0 <= key < ctx.n_events:
+        raise ParameterRangeError(f"{what}: no event with index {key}")
+    return int(key)
 
 
 def _read_labels(obj: Mapping, what: str) -> tuple[str, ...]:
@@ -246,10 +268,7 @@ def epd_from_dict(obj: Mapping) -> Epd1 | Epd2:
         raise ConfigError(f"unknown table kind {kind!r}")
     ctx = EventSetContext(_read_int(n, "table 'n'"), _read_labels(obj, "table"))
     cls, check = (Epd1, validate_epd1) if kind == "epd1" else (Epd2, validate_epd2)
-    try:
-        d = cls(ctx, _read_numbers(values, "table 'values'"))  # the one float64 copy
-    except OverflowError:
-        raise ConfigError("table 'values' holds an integer beyond float range") from None
+    d = cls._adopt(ctx, _read_numbers(values, "table 'values'"))  # the one float64 copy
     report = check(d)
     if not report.ok:
         raise InvalidDistributionError(report.describe())
@@ -323,12 +342,12 @@ def _grid_csv_rows(w: np.ndarray, keep: np.ndarray, values: np.ndarray) -> str:
 
 
 def _weight_from_config(obj, what: str):
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return constant_weight(float(obj))
+    if _is_number(obj):  # a constant: the family checks its range
+        return _read_number(obj, what)
     if isinstance(obj, Mapping):
         kind = obj.get("kind")
         if kind == "constant":
-            return constant_weight(_read_number(obj.get("value", 0.0), f"{what} 'value'"))
+            return _read_number(obj.get("value", 0.0), f"{what} 'value'")
         if kind == "sine_diff":
             return sine_diff_weight(_read_number(obj.get("scale", 15.0), f"{what} 'scale'"))
         raise ConfigError(f"{what}: unknown weight kind {kind!r}")
@@ -394,9 +413,7 @@ def _marginals_from_config(obj: Mapping) -> MarginalSet:
     if not isinstance(probs, list) or not probs:
         raise ConfigError("build config needs a non-empty 'marginals' list")
     ctx = EventSetContext(len(probs), _read_labels(obj, "build config"))
-    return MarginalSet.from_values(
-        ctx, [_read_number(v, f"marginals[{k}]") for k, v in enumerate(probs)]
-    )
+    return MarginalSet.from_values(ctx, _read_numbers(probs, "marginals"))
 
 
 def _canonical_table(ctx: EventSetContext, named: Mapping) -> np.ndarray | None:
@@ -427,7 +444,7 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
     """
     ctx = p.context
     values = None
-    if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, named.values()))):
+    if _all_numbers(named.values()):
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             values = np.fromiter(named.values(), np.float64, len(named))
     if values is None or not np.isfinite(values).all():

@@ -241,6 +241,30 @@ def test_malformed_grid_configs_exit_1_without_a_traceback(tmp_path, capsys, ext
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["axes", "fixed"])
+@pytest.mark.parametrize("key", ["\u00b9", "--1", "1" * 5000], ids=["sup1", "minus2", "digits"])
+def test_event_names_that_only_look_like_indices_exit_1_on_one_line(tmp_path, capsys, key, where):
+    extra = {"axes": [0, key]} if where == "axes" else {"axes": [0], "fixed": {key: 0.5}}
+    cfg = write_config(tmp_path, {"family": "independent", "n": 2, **extra})
+    out = tmp_path / "grid.csv"
+    assert run(["grid", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"axes": ["0"], "fixed": {"1": 0.5}}, {"axes": ["-0"], "fixed": {"01": 0.5}},
+     {"axes": ["x0"], "fixed": {"x1": 0.5}}, {"axes": [0], "fixed": {"0001": 0.5}}],
+    ids=json.dumps,
+)
+def test_ascii_digit_strings_and_labels_name_events(tmp_path, capsys, extra):
+    expect = sweep(tmp_path, capsys, {"family": "frank", "theta": 4.0, "axes": [0],
+                                      "fixed": {"1": 0.5}}, 5)
+    assert sweep(tmp_path, capsys, {"family": "frank", "theta": 4.0, **extra}, 5) == expect
+
+
 def test_grid_writes_block_by_block(tmp_path):
     import tracemalloc
 

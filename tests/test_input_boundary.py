@@ -3,25 +3,29 @@
 Every file-reading command gets generated JSON in the config and table
 vocabulary, some of it with integers past Python's 4300-digit limit or
 nesting 1000 deep, and must answer with an exit code of the contract.
+The vocabulary holds strings that only look like event indices: a
+superscript digit, a doubled minus and digits past that limit.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kopula.cli import run
 
+INDEX_LIKE = ["\u00b9", "--1", "1" * 5000]  # "¹": isdigit() holds, int() refuses it
 KEYS = [
     "family", "marginals", "labels", "n", "theta", "alpha", "parts", "weights", "kind",
     "value", "scale", "values", "frame_params", "kor", "xy", "xz", "in", "out",
     "modification", "policy", "resolution", "axes", "fixed", "x0", "x1", "x0&x1", "x1&x0",
+    *INDEX_LIKE,
 ]
 WORDS = [
     "independent", "frechet_upper", "frechet_lower", "quarter_sum", "clayton", "frank",
     "convex", "convex_updown", "conjugated", "constant", "sine_diff", "epd1", "epd2",
-    "raise", "x0", "x1", "x2", "x0&x1",
+    "raise", "x0", "x1", "x2", "x0&x1", *INDEX_LIKE,
 ]
 BIG, DEEP = "<big>", "<deep>"  # stand-ins replaced in the text: json.dumps cannot write them
 TEXT = {f'"{BIG}"': "1" + "0" * 4400, f'"{DEEP}"': "[" * 1000 + "0.5" + "]" * 1000}
@@ -73,6 +77,12 @@ COMMANDS = {
 
 
 @given(doc=documents)
+@example(doc={"family": "frechet_upper", "axes": [0, INDEX_LIKE[0]]})
+@example(doc={"family": "frechet_upper", "axes": [0, INDEX_LIKE[1]]})
+@example(doc={"family": "frechet_upper", "axes": [0, INDEX_LIKE[2]]})
+@example(doc={"family": "frechet_upper", "axes": [0], "fixed": {INDEX_LIKE[0]: 0.5}})
+@example(doc={"family": "frechet_upper", "axes": [0], "fixed": {INDEX_LIKE[1]: 0.5}})
+@example(doc={"family": "frechet_upper", "axes": [0], "fixed": {INDEX_LIKE[2]: 0.5}})
 def test_no_input_file_escapes_the_exit_code_contract(tmp_path_factory, doc):
     text = json.dumps(doc)
     for stand_in, replacement in TEXT.items():

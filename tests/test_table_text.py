@@ -337,6 +337,25 @@ def test_oracle_text_mismatch_exit_4(monkeypatch, capsys):
     assert "DISAGREE" in out
 
 
+@pytest.mark.parametrize("writer, differ", [("save_epd", 6), ("write_epd_csv", 3)])
+def test_oracle_checks_the_table_writers_the_commands_run(monkeypatch, capsys, writer, differ):
+    from kopula import cli
+
+    real = getattr(cli, writer)
+    monkeypatch.setattr(cli, writer, lambda d, fp: (real(d, fp), fp.write(" ")))
+    assert run(["oracle", "--n", "3", "--trials", "1"]) == 4
+    assert f"{differ} of 12 documents differ" in capsys.readouterr().out  # per table, n = 1, 2, 3
+
+
+def test_oracle_checks_the_sample_writer_the_command_runs(monkeypatch, capsys):
+    from kopula import cli
+
+    real = cli._json_chunks
+    monkeypatch.setattr(cli, "_json_chunks", lambda *a, **bulk: [*real(*a, **bulk), " "])
+    assert run(["oracle", "--n", "3", "--trials", "1"]) == 4
+    assert "3 of 12 documents differ" in capsys.readouterr().out  # one summary per table
+
+
 def test_oracle_checks_the_float_text_kernel(capsys):
     assert run(["oracle", "--n", "2", "--trials", "1"]) == 0
     assert "float text: Ryu kernel vs repr: 0 of 4096 values differ" in capsys.readouterr().out
@@ -446,6 +465,7 @@ BASE = {"marginals": [0.4, 0.3]}
           "modification": "x"}, "modification"),
         ({"marginals": [0.5, 0.4, 0.3], "kor": {"xy": 0, "xz": 0, "in": 0, "out": 0},
           "modification": 1.5}, "modification"),
+        ({**BASE, "family": "conjugated", "alpha": 10**400}, "conjugated"),
     ],
     ids=lambda v: None if isinstance(v, dict) else v,
 )
@@ -457,6 +477,16 @@ def test_malformed_build_fields(cfg, field, tmp_path, capsys):
     assert run(["build", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_library_callers_may_pass_numpy_numbers():
+    table = {**GOOD_TABLE, "n": np.int64(2), "values": list(np.array(GOOD_TABLE["values"]))}
+    assert ko.epd_from_dict(table).values.tolist() == GOOD_TABLE["values"]
+    named = {"x0&x1": np.float64(0.2), "x0&x2": 0.15, "x1&x2": 0.12, "x0&x1&x2": np.float64(0.06)}
+    d = ko.build_from_config({"marginals": [np.float64(0.5), 0.4, 0.3], "frame_params": named})
+    plain = {k: float(v) for k, v in named.items()}
+    expect = ko.build_from_config({"marginals": [0.5, 0.4, 0.3], "frame_params": plain})
+    assert d.values.tobytes() == expect.values.tobytes()
 
 
 def test_well_typed_fields_still_build():

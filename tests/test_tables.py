@@ -65,6 +65,13 @@ class TestOneBase:
         with pytest.raises(ko.InvalidDistributionError, match="values must be finite"):
             ko.PseudoDistribution(ctx2, [0.1, 0.2, bad, 0.1])
 
+    def test_finite_values_whose_sum_overflows_are_kept(self, ctx2):
+        big = np.finfo(np.float64).max
+        d = ko.PseudoDistribution(ctx2, [big, big, -big, 0.0])
+        assert d.values.tolist() == [big, big, -big, 0.0]
+        with pytest.raises(ko.InvalidDistributionError, match="values must be finite"):
+            ko.PseudoDistribution(ctx2, [np.inf, -np.inf, 0.0, 0.0])
+
     def test_builders_hold_no_view_of_their_inputs(self, ctx3):
         d = ko.Epd1(ctx3, np.arange(1.0, 9.0) / 36.0)
         inside, outside = ko.frame_split(d, 1)
