@@ -143,6 +143,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _clip(text: str) -> str:
+    """``text``, or past 20 characters its first 20, '…' and its length: a key
+    from a config is never echoed in full."""
+    return text if len(text) <= 20 else f"{text[:20]}… ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class EventSetContext:
     """Identity of an ordered finite event set.
@@ -191,7 +197,8 @@ class EventSetContext:
         try:
             return self._label_index[label]
         except (KeyError, TypeError):
-            raise ContextError(f"unknown event label {label!r}") from None
+            shown = _clip(label) if isinstance(label, str) else label
+            raise ContextError(f"unknown event label {shown!r}") from None
 
     def mask_label(self, mask: int) -> str:
         """Human-readable subset name, '&'-joined; empty string for the empty set."""
@@ -222,6 +229,8 @@ class EventSetContext:
 
 def mask_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
+    if mask < 0:  # its bits never run out
+        raise ContextError(f"subset mask must be nonnegative, got {mask!r}")
     k = 0
     while mask:
         if mask & 1:
@@ -232,6 +241,8 @@ def mask_bits(mask: int) -> Iterator[int]:
 
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask`` including 0 and ``mask`` itself."""
+    if mask < 0:  # (sub - 1) & mask never reaches 0
+        raise ContextError(f"subset mask must be nonnegative, got {mask!r}")
     sub = mask
     while True:
         yield sub

@@ -33,8 +33,11 @@ it, walk the windows of the top-level frame split if needed, unfold
 of the tensor view), clamp the dust, check the total.  The walk runs
 under "clamp", and under "raise" when a cell is negative, so that the
 error names the first offending window; every slack it checks is a
-nonnegative combination of cells.  Anything infeasible deeper down is a
-negative cell, rejected by ``core.clean_negative_dust``, the one clamp.
+nonnegative combination of cells.  It takes one subset size at a time,
+holding the masks of that popcount and the running sums and minima of
+their facets, read one facet at a time.  Anything infeasible deeper down
+is a negative cell, rejected by ``core.clean_negative_dust``, the one
+clamp.
 """
 
 from __future__ import annotations
@@ -246,14 +249,14 @@ def _inverted_window_rule(lo, up):
     return np.where(inverted, mid, lo), np.where(inverted, mid, up), lo - up > VALUE_ATOL
 
 
-def _frechet_window(facets, mass):
-    """[max(0, sum(facets) - (k-1) mass), min(facets)] for k facets (floats or
-    arrays); a pair window has facets (p, frame mass) and mass 1.  A NaN
-    input gives a NaN lower end."""
-    lower = sum(facets) - (len(facets) - 1) * mass
+def _frechet_window(total, least, k: int, mass):
+    """[max(0, total - (k-1) mass), least] for k facets summing to ``total``, the
+    smallest being ``least`` (floats or arrays); a pair window has facets
+    (p, frame mass) and mass 1.  A NaN input gives a NaN lower end."""
+    lower = total - (k - 1) * mass
     if isinstance(lower, np.ndarray):
-        return np.maximum(0.0, lower), functools.reduce(np.minimum, facets)
-    return max(lower, 0.0), min(facets)  # builtins: no array round trip per scalar call
+        return np.maximum(0.0, lower), least
+    return max(lower, 0.0), least  # builtins: no array round trip per scalar call
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,7 @@ def frechet_bounds(
     values in ``known``, keyed by ``target`` with one bit removed:
     below every facet, and above their sum less (size-1) slice masses.
     """
-    bits = [b for b in range(target.bit_length()) if target & (1 << b)]
+    bits = list(mask_bits(target))
     if not bits:
         raise ParameterRangeError("target subset must be non-empty")
     if len(bits) == 1:
@@ -319,7 +322,7 @@ def frechet_bounds(
                     f"facet value for submask {key:#b} of target {target:#b} not supplied"
                 )
             facets.append(float(known[key]))
-    lower, upper = _frechet_window(facets, mass)
+    lower, upper = _frechet_window(sum(facets), min(facets), len(facets), mass)
     if lower != lower:  # a NaN input
         raise ParameterRangeError(
             f"NaN in the bounds of subset {target:#b}: values {facets}, frame mass {frame_prob!r}"
@@ -463,25 +466,18 @@ class FrameParams:
 # the interval walk and the Möbius build
 
 
-def _fit(value, lower, upper, policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp values into their windows and flag the ones that must raise.
-
-    Empty windows always fail; under "raise" so does a value more than
-    VALUE_ATOL outside its window.
-    """
-    lo, up, fail = _inverted_window_rule(lower, upper)
-    if policy == "raise":
-        fail |= (value < lo - VALUE_ATOL) | (value > up + VALUE_ATOL)
-    return np.minimum(np.maximum(value, lo), up), fail
-
-
-def _interval_name(side: str, s: int) -> str:
+def _interval_text(side: str, s: int, value, lower, upper, relation: str) -> str:
+    """'<interval> = <value> <relation> [lo, up]' for one window of the walk, the
+    window collapsed as ``FrechetInterval`` does (which raises if it is empty)."""
+    iv = FrechetInterval(float(lower), float(upper))
     bits = tuple(mask_bits(s))
     if side == "pair":
-        return f"pair intersection of ordered events (0, {bits[0]})"
-    if side == "in":
-        return f"frame-side intersection of ordered events {(0,) + bits}"
-    return f"off-frame intersection of ordered events {bits}"
+        name = f"pair intersection of ordered events (0, {bits[0]})"
+    elif side == "in":
+        name = f"frame-side intersection of ordered events {(0,) + bits}"
+    else:
+        name = f"off-frame intersection of ordered events {bits}"
+    return f"{name} = {float(value)!r} {relation} [{iv.lower!r}, {iv.upper!r}]"
 
 
 def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
@@ -491,9 +487,11 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
     frame-side value t[s | 1] and, from size two up, an off-frame value
     t[s] - t[s | 1], each with its ``frechet_bounds`` window.  A window
     reads only values one size down, so each size is one numpy pass, in
-    ascending order; values are clamped in place.  An empty window, or
-    under "raise" a value beyond VALUE_ATOL outside its window, raises for
-    the first offender in (size, mask) order, as ``oracles.naive_interval_walk``
+    ascending order, holding the masks of that size and, per side, the
+    running sum and minimum of their facets, read one facet at a time;
+    values are clamped in place.  An empty window, or under "raise" a
+    value beyond VALUE_ATOL outside its window, raises for the first
+    offender in (size, mask) order, as ``oracles.naive_interval_walk``
     does; the clamps are summed up in one RuntimeWarning.
     """
     n = t.shape[0].bit_length() - 1
@@ -504,49 +502,47 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
     for k in range(1, n):
         s = rest[level == k]
         if k == 1:
-            windows = [("pair", *_frechet_window([t[s], p0], 1.0))]
+            sides = [("pair", *_frechet_window(t[s] + p0, np.minimum(t[s], p0), 2, 1.0))]
         else:
-            subs = []
+            in_sum = out_sum = 0.0
+            in_min = out_min = np.inf
             left = s
             for _ in range(k):  # the facets: s without each of its bits, lowest first
                 low = left & -left
-                subs.append(s ^ low)
                 left = left ^ low
-            ins = [t[sub | 1] for sub in subs]
-            outs = [t[sub] - f for sub, f in zip(subs, ins)]
-            windows = [
-                ("in", *_frechet_window(ins, p0)),
-                ("out", *_frechet_window(outs, 1.0 - p0)),
-            ]
-        checks = []  # (side, value, fitted, fail, lower, upper)
-        for side, lower, upper in windows:
-            value = t[s] - checks[0][2] if side == "out" else t[s | 1]
-            checks.append((side, value, *_fit(value, lower, upper, policy), lower, upper))
-        fail = np.logical_or.reduce([c[3] for c in checks])
-        if fail.any():
+                sub = s ^ low
+                facet = t[sub | 1]
+                in_sum, in_min = in_sum + facet, np.minimum(in_min, facet)
+                facet = t[sub] - facet
+                out_sum, out_min = out_sum + facet, np.minimum(out_min, facet)
+            sides = [("in", *_frechet_window(in_sum, in_min, k, p0)),
+                     ("out", *_frechet_window(out_sum, out_min, k, 1.0 - p0))]
+        fits, first = [], None
+        for side, lower, upper in sides:
+            lo, up, fail = _inverted_window_rule(lower, upper)
+            value = t[s] - fits[0] if fits else t[s | 1]
+            if policy == "raise":
+                fail |= (value < lo - VALUE_ATOL) | (value > up + VALUE_ATOL)
+            fits.append(np.minimum(np.maximum(value, lo), up))
             i = int(np.argmax(fail))
-            side, value, _, _, lower, upper = next(c for c in checks if c[3][i])
-            iv = FrechetInterval(float(lower[i]), float(upper[i]))  # raises if empty
-            raise InfeasibleParameterError(
-                f"{_interval_name(side, int(s[i]))} = {float(value[i])!r} outside "
-                f"the admissible interval [{iv.lower!r}, {iv.upper!r}]"
-            )
-        for side, value, fitted, _, lower, upper in checks:
-            gap = np.abs(fitted - value)
+            if fail[i] and (first is None or i < first[0]):  # the frame side wins a tie
+                first = (i, side, s[i], value[i], lower[i], upper[i])
+            gap = np.abs(fits[-1] - value)
             j = int(np.argmax(gap))
             count += int(np.count_nonzero(gap))
             if gap[j] > (worst[0] if worst else 0.0):
-                worst = (gap[j], side, int(s[j]), float(value[j]), lower[j], upper[j])
-        t[s | 1] = checks[0][2]
+                worst = (gap[j], side, s[j], value[j], lower[j], upper[j])
+        if first:
+            raise InfeasibleParameterError(
+                _interval_text(*first[1:], "outside the admissible interval")
+            )
+        t[s | 1] = fits[0]
         if k > 1:
-            t[s] = checks[1][2] + checks[0][2]
+            t[s] = fits[1] + fits[0]
     if worst:
-        gap, side, s, value, lower, upper = worst
-        iv = FrechetInterval(float(lower), float(upper))
         warnings.warn(
             f"{who}: {count} intersection value(s) clamped into their windows; "
-            f"the largest move ({gap:.3e}): {_interval_name(side, s)} = {value!r} "
-            f"clamped into [{iv.lower!r}, {iv.upper!r}]",
+            f"the largest move ({worst[0]:.3e}): {_interval_text(*worst[1:], 'clamped into')}",
             RuntimeWarning,
             stacklevel=4,
         )

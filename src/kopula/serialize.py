@@ -48,6 +48,7 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
+    _clip,
     _is_int,
     clean_unit_interval,
     validate_epd1,
@@ -222,11 +223,11 @@ def _read_event(key, ctx: EventSetContext, what: str) -> int:
         try:
             key = int(key)
         except ValueError:  # more digits than int() reads: no event has that index
-            raise ParameterRangeError(f"{what}: no event with index {key}") from None
+            raise ParameterRangeError(f"{what}: no event with index {_clip(key)}") from None
     elif not _is_int(key):
         raise ConfigError(f"{what}: events are named by index or label, got {key!r}")
     if not 0 <= key < ctx.n_events:
-        raise ParameterRangeError(f"{what}: no event with index {key}")
+        raise ParameterRangeError(f"{what}: no event with index {_clip(str(key))}")
     return int(key)
 
 

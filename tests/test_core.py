@@ -99,6 +99,14 @@ def test_submasks_enumerates_the_sublattice():
     assert list(ko.submasks(0)) == [0]
 
 
+@pytest.mark.parametrize("walk", [ko.mask_bits, ko.submasks])
+@pytest.mark.parametrize("mask", [-1, -6, np.int64(-2)])
+def test_negative_masks_are_rejected(walk, mask):
+    # a negative mask has bits without end, so both walks would never stop
+    with pytest.raises(ko.ContextError, match="nonnegative"):
+        list(walk(mask))
+
+
 class TestMarginalSet:
     def test_from_values_detects_half_rare(self, ctx2):
         assert ko.MarginalSet.from_values(ctx2, (0.5, 0.25)).half_rare

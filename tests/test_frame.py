@@ -174,6 +174,11 @@ class TestFrechetBounds:
         with pytest.raises(ko.ParameterRangeError):
             ko.frechet_bounds({}, 0, 0.3, 0.5)
 
+    @pytest.mark.parametrize("target", [-1, -3])
+    def test_negative_target_rejected(self, target):
+        with pytest.raises(ko.ContextError, match="nonnegative"):
+            ko.frechet_bounds({}, target, 0.3, 0.5)
+
 
 class TestFrechetInterval:
     def test_tiny_inversion_collapses_to_the_midpoint(self):

@@ -242,7 +242,10 @@ def test_malformed_grid_configs_exit_1_without_a_traceback(tmp_path, capsys, ext
 
 
 @pytest.mark.parametrize("where", ["axes", "fixed"])
-@pytest.mark.parametrize("key", ["\u00b9", "--1", "1" * 5000], ids=["sup1", "minus2", "digits"])
+@pytest.mark.parametrize(
+    "key", ["\u00b9", "--1", "1" * 5000, int("1" * 4000), "x" * 5000],
+    ids=["sup1", "minus2", "digits", "json_int", "label"],
+)
 def test_event_names_that_only_look_like_indices_exit_1_on_one_line(tmp_path, capsys, key, where):
     extra = {"axes": [0, key]} if where == "axes" else {"axes": [0], "fixed": {key: 0.5}}
     cfg = write_config(tmp_path, {"family": "independent", "n": 2, **extra})
@@ -250,6 +253,7 @@ def test_event_names_that_only_look_like_indices_exit_1_on_one_line(tmp_path, ca
     assert run(["grid", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+    assert len(err) < 200, err[:300]  # a long key is shown as its head and its length
     assert not out.exists()
 
 
