@@ -51,6 +51,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -482,6 +483,12 @@ def covariance_pair(d: Epd1 | Epd2, i: int, j: int) -> float:
 # validation reports
 
 
+def _report_text(lines: Iterator[str], count: int, shown: int = 10) -> str:
+    """The first ``shown`` of ``count`` lines, then '… and K more', the K unformatted."""
+    more = [f"… and {count - shown} more"] if count > shown else []
+    return "\n".join([*islice(lines, shown), *more])
+
+
 @dataclass(frozen=True)
 class Epd1Report:
     context: EventSetContext
@@ -509,12 +516,10 @@ class Epd1Report:
             lines.append(f"valid first-kind table (sum deviation {self.total - 1.0:+.3e})")
         if not self.sum_ok:
             lines.append(f"total mass {self.total!r} deviates from 1 by {self.total - 1.0:+.3e}")
-        for mask, value in self.negative_entries:
-            lines.append(
-                f"negative probability {value:.6e} at subset "
-                f"{{{self.context.mask_label(mask)}}} (index {mask})"
-            )
-        return "\n".join(lines)
+        label = self.context.mask_label
+        cells = (f"negative probability {v:.6e} at subset {{{label(m)}}} (index {m})"
+                 for m, v in self.negative_entries)
+        return _report_text(chain(lines, cells), len(lines) + len(self.negative_entries))
 
 
 @dataclass(frozen=True)
@@ -547,16 +552,12 @@ class Epd2Report:
             lines.append("valid second-kind table")
         if not self.empty_ok:
             lines.append(f"empty-set entry {self.empty_value!r} deviates from 1")
-        for mask, value in self.range_entries:
-            lines.append(
-                f"entry {value:.6e} at {{{self.context.mask_label(mask)}}} outside [0, 1]"
-            )
-        for sub, sup, gap in self.monotone_entries:
-            lines.append(
-                f"monotonicity violated: {{{self.context.mask_label(sup)}}} exceeds "
-                f"{{{self.context.mask_label(sub)}}} by {gap:.3e}"
-            )
-        return "\n".join(lines)
+        label = self.context.mask_label
+        ranges = (f"entry {v:.6e} at {{{label(m)}}} outside [0, 1]" for m, v in self.range_entries)
+        gaps = (f"monotonicity violated: {{{label(sup)}}} exceeds {{{label(sub)}}} by {gap:.3e}"
+                for sub, sup, gap in self.monotone_entries)
+        count = len(lines) + len(self.range_entries) + len(self.monotone_entries)
+        return _report_text(chain(lines, ranges, gaps), count)
 
 
 def validate_epd1(d: Epd1, tol: float = SUM_ATOL) -> Epd1Report:

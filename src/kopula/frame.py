@@ -27,17 +27,17 @@ to its midpoint, by more it is empty.
 
 ``build_nset_epd`` (any point), ``triplet_epd`` and ``quadruplet_epd``
 (ordered half-rare points) run one pipeline and differ only in the
-marginal check and the unfold: complete the intersection table, invert
-it, walk the windows of the top-level frame split if needed, unfold
+marginal check and the unfold: complete the intersection table, walk
+the windows of the top-level frame split if needed, invert it, unfold
 (the inverse sort and fold of ``build_nset_epd``, a transpose and flip
 of the tensor view), clamp the dust, check the total.  The walk runs
-under "clamp", and under "raise" when a cell is negative, so that the
-error names the first offending window; every slack it checks is a
-nonnegative combination of cells.  It takes one subset size at a time,
-holding the masks of that popcount and the running sums and minima of
-their facets, read one facet at a time.  Anything infeasible deeper down
-is a negative cell, rejected by ``core.clean_negative_dust``, the one
-clamp.
+under "clamp", before the first inversion, and under "raise" when a cell
+is negative, so that the error names the first offending window; every
+slack it checks is a nonnegative combination of cells.  It takes one
+subset size at a time, the masks of that size read from one int8 array
+of sizes, holding the running sums and minima of their facets.  Anything
+infeasible deeper down is a negative cell, rejected by
+``core.clean_negative_dust``, the one clamp.
 """
 
 from __future__ import annotations
@@ -487,20 +487,21 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
     frame-side value t[s | 1] and, from size two up, an off-frame value
     t[s] - t[s | 1], each with its ``frechet_bounds`` window.  A window
     reads only values one size down, so each size is one numpy pass, in
-    ascending order, holding the masks of that size and, per side, the
-    running sum and minimum of their facets, read one facet at a time;
-    values are clamped in place.  An empty window, or under "raise" a
-    value beyond VALUE_ATOL outside its window, raises for the first
-    offender in (size, mask) order, as ``oracles.naive_interval_walk``
+    ascending order, holding its masks (read from one int8 array of sizes)
+    and, per side, the running sum and minimum of their facets, read one
+    facet at a time; values are clamped in place.  An empty window, or
+    under "raise" a value beyond VALUE_ATOL outside its window, raises for
+    the first offender in (size, mask) order, as ``oracles.naive_interval_walk``
     does; the clamps are summed up in one RuntimeWarning.
     """
     n = t.shape[0].bit_length() - 1
     p0 = float(t[1])
-    rest = np.arange(0, t.shape[0], 2)
-    level = sum((rest >> b) & 1 for b in range(1, n))
+    level = np.zeros(t.shape[0] >> 1, np.int8)  # level[i]: the size of the subset 2 * i
+    for b in range(n - 1):
+        level[1 << b : 2 << b] = level[: 1 << b] + 1
     count, worst = 0, None
     for k in range(1, n):
-        s = rest[level == k]
+        s = 2 * np.flatnonzero(level == k)
         if k == 1:
             sides = [("pair", *_frechet_window(t[s] + p0, np.minimum(t[s], p0), 2, 1.0))]
         else:
@@ -551,15 +552,16 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
 def _build(
     ctx: EventSetContext, params: FrameParams, probs, policy: str, who: str, unfold=None
 ) -> Epd1:
-    """Complete, invert, walk if needed, unfold, clamp the dust, check the total.
+    """Complete, walk if needed, invert, unfold, clamp the dust, check the total.
 
     The walk runs only where it can change the outcome: under "clamp", or on a negative cell.
     """
     t = params.complete_table(probs)
     if policy not in ("raise", "clamp"):
         raise ParameterRangeError(f"policy must be 'raise' or 'clamp', got {policy!r}")
-    cells = _superset_mobius(t, params.n_events)
-    if policy == "clamp" or cells.min() < 0.0:
+    cells = _superset_mobius(t, params.n_events) if policy == "raise" else None
+    if cells is None or cells.min() < 0.0:
+        del cells  # stale once the walk moves t: freed before it runs
         _walk_intervals(t, policy, who)
         cells = _superset_mobius(t, params.n_events)
     del t  # free the intersections before the unfold copies the cells

@@ -9,17 +9,17 @@ with values in subset-mask order.  Loading validates against the
 axioms of the declared kind.  CSV is export-only, one labelled subset
 per row.  Every input document is decoded by ``_read_json``, the one
 ``json.load``.  Every JSON output is the text of ``_json_chunks``, the
-one writer: ``json.dumps`` writes the document with its number lists
-left empty, and each list is spliced back in, formatted ``_BLOCK``
-values at a time by ``_number_text``: a full block of 2^12 finite
-float64 values through ``_floattext.join_reprs`` (Ryu's digits in numpy
-passes, which beat the C encoder on full blocks only), any other block
-through the C encoder; the CSV writer formats its values the same way.
-``dump_json`` joins the pieces into one string; ``save_epd`` and the
-CLI's sample summary hand them to the file as they come, so a table is
-written from its array without a list or text of its own.  The rows of ``kopula grid`` are formatted by
-``_grid_csv_rows`` a block at a time, each distinct float of the block
-once.
+one writer: ``json.dumps`` writes the document with each number array a
+command writes (a table's values) left empty, and each is spliced back
+in, formatted ``_BLOCK`` values at a time by ``_number_text``: a full
+block of 2^12 finite float64 values through ``_floattext.join_reprs``
+(Ryu's digits in numpy passes, which beat the C encoder on full blocks
+only), any other block through the C encoder; the CSV writer formats its
+values the same way.  ``save_epd`` and the CLI's sample summary hand the
+pieces to the file as they come, so a table is written from its array
+without a list or text of its own; ``dump_json`` passes no arrays, and
+is the reference call.  The rows of ``kopula grid`` are formatted by
+``_grid_csv_rows`` a block at a time, each distinct float once.
 
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
@@ -40,6 +40,7 @@ import numpy as np
 
 from ._floattext import join_reprs
 from .core import (
+    ContextError,
     DependencyError,
     Epd1,
     Epd2,
@@ -114,18 +115,16 @@ _BLOCK_EVENTS = 12
 _BLOCK = 1 << _BLOCK_EVENTS  # values, or CSV rows, formatted per piece of output text
 
 
-def _number_text(block, sep: str) -> str:
-    """The JSON text of the numbers in ``block`` (an array or a list), ``sep`` between them.
+def _number_text(block: np.ndarray, sep: str) -> str:
+    """The JSON text of the numbers in ``block``, ``sep`` between them.
 
     A full ``_BLOCK`` of finite float64 values goes through ``join_reprs``;
     any other block through the C encoder, as the values of one list.
     """
-    if isinstance(block, np.ndarray):
-        if block.size == _BLOCK and block.dtype == np.float64:
-            with contextlib.suppress(ValueError):  # a non-finite value: the encoder writes it
-                return join_reprs(block, sep)
-        block = block.tolist()
-    return json.dumps(block, separators=(sep, ": "))[1:-1]
+    if block.size == _BLOCK and block.dtype == np.float64:
+        with contextlib.suppress(ValueError):  # a non-finite value: the encoder writes it
+            return join_reprs(block, sep)
+    return json.dumps(block.tolist(), separators=(sep, ": "))[1:-1]
 
 
 def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
@@ -133,20 +132,12 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
 
     Joined, the pieces are ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
     (``oracles.reference_dump_json``), where ``doc`` is ``obj`` with
-    ``bulk[key].tolist()`` under each key.  That call writes the text,
-    except that each of ``bulk`` and each non-empty top-level list of
-    numbers (``_all_numbers``) under a string key, such as a table's values,
-    is left empty in it and spliced back in: its body is written ``_BLOCK``
-    values at a time by ``_number_text``, one piece per block.
+    ``bulk[key].tolist()`` under each key.  That call writes ``obj`` with
+    each of ``bulk`` empty, and each array's body is spliced in, ``_BLOCK``
+    values a piece, by ``_number_text``.  Every caller's arrays are non-empty;
+    an empty one would be written ``[\\n  ]``, where ``json.dumps`` writes ``[]``.
     """
-    if isinstance(obj, dict):
-        bulk.update(
-            (key, values) for key, values in obj.items()
-            if isinstance(key, str) and isinstance(values, list) and values
-            and _all_numbers(values)
-        )
-        obj = {**obj, **dict.fromkeys(bulk, [])} if bulk else obj
-    rest = json.dumps(obj, sort_keys=True, indent=2)
+    rest = json.dumps({**obj, **dict.fromkeys(bulk, [])} if bulk else obj, sort_keys=True, indent=2)
     for key in sorted(bulk):  # the order the keys appear in the text
         marker = f"\n  {json.dumps(key)}: ["  # only a top-level key starts a line at indent 2
         head, rest = rest.split(marker, 1)  # rest starts with the list's "]"
@@ -164,8 +155,9 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
 def dump_json(obj, fp: IO[str] | None = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    (``oracles.reference_dump_json``), joined from the pieces of ``_json_chunks``.
+    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    (``oracles.reference_dump_json``): ``_json_chunks`` with no arrays.
+    ``save_epd`` writes a table faster, splicing in its values array.
     """
     text = "".join(_json_chunks(obj))
     if fp is not None:
@@ -219,13 +211,16 @@ def _read_event(key, ctx: EventSetContext, what: str) -> int:
     digits with an optional leading '-' is one; any other string is a label in ``ctx``."""
     if isinstance(key, str):
         if not (key.isascii() and key.removeprefix("-").isdigit()):
-            return ctx.index_of(key)
+            try:
+                return ctx.index_of(key)
+            except ContextError as exc:  # an unknown label, named with its field
+                raise ContextError(f"{what}: {exc}") from None
         try:
             key = int(key)
         except ValueError:  # more digits than int() reads: no event has that index
             raise ParameterRangeError(f"{what}: no event with index {_clip(key)}") from None
     elif not _is_int(key):
-        raise ConfigError(f"{what}: events are named by index or label, got {key!r}")
+        raise ConfigError(f"{what}: events are named by index or label, got {_clip(repr(key))}")
     if not 0 <= key < ctx.n_events:
         raise ParameterRangeError(f"{what}: no event with index {_clip(str(key))}")
     return int(key)

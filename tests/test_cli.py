@@ -422,3 +422,16 @@ def test_library_errors_map_to_exit_codes_in_run(monkeypatch, capsys, error, cod
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "the build refused its point\n"
+
+
+def test_a_table_with_many_bad_cells_reports_a_few(tmp_path, capsys):
+    n = 14
+    values = np.full(1 << n, -1e-6)
+    values[0] = 1.0 - values[1:].sum()
+    path = tmp_path / "t.json"
+    write_json(path, {"kind": "epd1", "n": n, "values": values.tolist()})
+    assert run(["sample", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    # one line per cell was 16,383 lines and 1.37 MB
+    assert err.count("\n") == 11 and err.endswith("… and 16373 more\n"), err[-200:]
+    assert len(err) < 2000

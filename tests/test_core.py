@@ -274,6 +274,19 @@ class TestValidateEpd1:
         assert not ko.validate_epd1(d).sum_ok
         assert ko.validate_epd1(d, tol=1e-6).sum_ok
 
+    def test_report_text_is_bounded(self):
+        ctx = ko.EventSetContext(5)
+        values = np.zeros(32)
+        values[1:21] = -1e-3
+        values[0] = 1.02
+        report = ko.validate_epd1(epd1(ctx, values))
+        assert len(report.negative_entries) == 20  # the fields stay complete
+        lines = report.describe().split("\n")
+        assert lines == [
+            f"negative probability {-1e-3:.6e} at subset {{{ctx.mask_label(m)}}} (index {m})"
+            for m in range(1, 11)
+        ] + ["… and 10 more"]
+
 
 class TestValidateEpd2:
     def test_valid_table(self, ctx2):
@@ -295,6 +308,19 @@ class TestValidateEpd2:
     def test_out_of_range_entry_flagged(self, ctx2):
         report = ko.validate_epd2(epd2(ctx2, (1.0, 1.2, 0.2, 0.1)))
         assert not report.range_ok
+
+    def test_report_text_keeps_its_first_lines(self, monkeypatch):
+        from kopula import core
+
+        ctx = ko.EventSetContext(4)
+        values = np.linspace(0.0, 1.5, 16)  # every single-bit step up breaks monotonicity
+        report = ko.validate_epd2(epd2(ctx, values))
+        count = 1 + len(report.range_entries) + len(report.monotone_entries)
+        bounded = report.describe().split("\n")
+        monkeypatch.setattr(core, "_report_text", lambda lines, count: "\n".join(lines))
+        full = report.describe().split("\n")
+        assert len(full) == count > 11
+        assert bounded == full[:10] + [f"… and {count - 10} more"]
 
     @given(epd1_tables(max_events=5))
     def test_every_first_kind_table_induces_a_valid_second_kind(self, d):

@@ -183,23 +183,50 @@ class TestWhenTheWalkRuns:
         ko.quadruplet_epd(p, ko.FrameParams.independence(QUAD), policy="clamp")
         assert len(calls) == 1
 
-    def test_walk_memory_under_clamp(self, rng):
-        n = 18
+    @staticmethod
+    def independent_point(rng, n):
+        """A random marginal point, its probabilities and the sorted build's independent params."""
         probs = rng.uniform(0.05, 0.95, n)
         p = ko.MarginalSet.from_values(ko.EventSetContext(n), probs)
         proj = ko.half_rare_projection(p)
-        params = ko.FrameParams.independence([proj.point.probs[k] for k in proj.permutation])
+        q = [proj.point.probs[k] for k in proj.permutation]
+        return p, probs, ko.FrameParams.independence(q), q
+
+    @staticmethod
+    def traced_build(p, params, policy):
         tracemalloc.start()
         try:
-            d = ko.build_nset_epd(p, params, policy="clamp")
-            peak = tracemalloc.get_traced_memory()[1]
+            d = ko.build_nset_epd(p, params, policy=policy)
+            return d, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_walk_memory_under_clamp(self, rng):
+        n = 18
+        p, probs, params, _ = self.independent_point(rng, n)
+        d, peak = self.traced_build(p, params, "clamp")
         np.testing.assert_allclose(d.values, product_epd1(p.context, probs).values, atol=1e-15)
-        # The build traced 10.1 MB, 5.05 tables: the intersections and their cells,
-        # and 3.1 in the walk, which holds one size's masks and running facet sums
-        # (4.2 MB under "raise", which skips the walk here).  The bound leaves 25%.
-        assert peak < 6.3 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
+        # The build traced 6.2 MB, 3.12 tables: the intersections, and 2.1 in the
+        # walk, which holds one size's masks, values and running facet sums and
+        # minima; the cells come after the walk.  The bound leaves 25%.
+        assert peak < 3.9 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
+
+    def test_walk_memory_under_raise(self, rng):
+        n = 18
+        p, probs, params, q = self.independent_point(rng, n)
+        # the top intersection, raised by twice its smallest facet cell, drives
+        # that cell a hair below 0: the build walks, clamps in band and succeeds
+        full = (1 << n) - 1
+        cells = ko.epd1_from_epd2(ko.Epd2(ko.EventSetContext(n), params.complete_table(q))).values
+        t = params.table.copy()
+        t[full] += 2 * min(cells[full ^ 1 << b] for b in range(n))
+        with pytest.warns(RuntimeWarning, match=r"2 intersection value\(s\) clamped"):
+            d, peak = self.traced_build(p, ko.FrameParams(n, t), "raise")
+        np.testing.assert_allclose(
+            d.values, product_epd1(p.context, probs).values, atol=ko.VALUE_ATOL
+        )
+        # 3.12 tables, as under "clamp": the unwalked cells are freed before the walk.
+        assert peak < 3.9 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
 
     def test_top_level_failure_names_its_interval(self):
         p = ko.MarginalSet.from_values(ko.EventSetContext(3), (0.5, 0.4, 0.3))

@@ -258,6 +258,26 @@ def test_event_names_that_only_look_like_indices_exit_1_on_one_line(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "key, shown",
+    [([1] * 3000, "[1, 1, 1, 1, 1, 1, 1… (9000 characters)"), (1.5, "1.5"), (None, "None")],
+    ids=["long_list", "float", "null"],
+)
+def test_an_axis_that_is_no_event_name_is_shown_clipped(tmp_path, capsys, key, shown):
+    cfg = write_config(tmp_path, {"family": "independent", "n": 2, "axes": [0, key]})
+    assert run(["grid", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"grid 'axes': events are named by index or label, got {shown}\n"
+
+
+@pytest.mark.parametrize("where", ["axes", "fixed"])
+def test_an_unknown_label_names_its_field(tmp_path, capsys, where):
+    extra = {"axes": [0, "zz"]} if where == "axes" else {"axes": [0], "fixed": {"zz": 0.5}}
+    cfg = write_config(tmp_path, {"family": "independent", "n": 2, **extra})
+    assert run(["grid", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"grid '{where}': unknown event label 'zz'\n"
+
+
+@pytest.mark.parametrize(
     "extra",
     [{"axes": ["0"], "fixed": {"1": 0.5}}, {"axes": ["-0"], "fixed": {"01": 0.5}},
      {"axes": ["x0"], "fixed": {"x1": 0.5}}, {"axes": [0], "fixed": {"0001": 0.5}}],

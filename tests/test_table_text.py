@@ -1,9 +1,10 @@
 """Table text: the block writers against the reference encoders, byte for byte.
 
-``dump_json``, ``save_epd`` and ``write_epd_csv`` format a table 2^12
-values at a time; the value-by-value encoders in ``kopula.oracles`` fix
-what the bytes must be, and tracemalloc guards hold what the writers keep
-while they write.  Also here: the sampler's summary against the per-draw
+``save_epd``, ``write_epd_csv`` and the writer's splice (``_json_chunks``)
+format an array 2^12 values at a time, and ``dump_json`` is the reference
+call; the value-by-value encoders in ``kopula.oracles`` fix what the bytes
+must be, and tracemalloc guards hold what the writers keep while they
+write.  Also here: the sampler's summary against the per-draw
 computation, and the typed readers at the table and build-config boundary.
 """
 
@@ -17,7 +18,7 @@ import pytest
 import kopula as ko
 from kopula.cli import run
 from kopula.oracles import naive_epd_csv, reference_dump_json
-from kopula.serialize import dump_json, load_epd, save_epd, write_epd_csv
+from kopula.serialize import _json_chunks, dump_json, load_epd, save_epd, write_epd_csv
 
 from helpers import random_epd1
 
@@ -163,6 +164,36 @@ def test_dump_json_rejects_what_the_reference_rejects(obj):
     with pytest.raises(TypeError) as theirs:
         reference_dump_json(obj)
     assert str(ours.value) == str(theirs.value)
+
+
+_UNIFORM = np.random.default_rng(5).random(2 * 4096 + 7)  # two full blocks and a tail
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1])
+_FULL_WITH_NAN = _UNIFORM[:4096].copy()
+_FULL_WITH_NAN[4000] = np.nan
+
+
+@pytest.mark.parametrize(
+    "head, arrays",
+    [
+        ({"kind": "epd1", "n": 2, "labels": ["x", "y"]}, {"values": np.array([0.5, 0.25, 0.25])}),
+        ({'q"uote': 1, "back\\slash": [1.5], "üml": "é", "new\nline": None},
+         {'a"b': _SPECIAL, "back\\slash!": np.arange(3), "ü": _UNIFORM[:5], "\n": -_SPECIAL}),
+        ({"note": '\n  "values": [', "z": '"values": [1]', "a": {"values": [2.0]}},
+         {"values": _UNIFORM[:9]}),
+        ({"b": True, "d": [1, 2]}, {"a": np.arange(-3, 3), "c": _SPECIAL, "e": _UNIFORM[:4096]}),
+        ({"n_samples": 10}, {"counts": np.arange(2 * 4096 + 7, dtype=np.int64),
+                             "frequencies": _UNIFORM}),
+        ({}, {"full_with_nan": _FULL_WITH_NAN, "special_block": np.resize(_SPECIAL, 4096)}),
+    ],
+    ids=["table", "escaped_keys", "marker_in_a_string", "around_the_head", "blocks", "non_finite"],
+)
+def test_spliced_arrays_match_the_reference(head, arrays):
+    """The writer's splice: ``head`` with ``arrays`` as lists, byte for byte.
+
+    Every caller passes non-empty arrays, so only those are checked.
+    """
+    lists = {key: values.tolist() for key, values in arrays.items()}
+    assert_same_text("".join(_json_chunks(head, **arrays)), reference_dump_json({**head, **lists}))
 
 
 # ---------------------------------------------------------------------------
