@@ -483,10 +483,10 @@ def covariance_pair(d: Epd1 | Epd2, i: int, j: int) -> float:
 # validation reports
 
 
-def _report_text(lines: Iterator[str], count: int, shown: int = 10) -> str:
-    """The first ``shown`` of ``count`` lines, then '… and K more', the K unformatted."""
-    more = [f"… and {count - shown} more"] if count > shown else []
-    return "\n".join([*islice(lines, shown), *more])
+def _report_text(lines: Iterator[str], count: int) -> str:
+    """The first 10 of ``count`` lines, then '… and K more', the K unformatted."""
+    more = [f"… and {count - 10} more"] if count > 10 else []
+    return "\n".join([*islice(lines, 10), *more])
 
 
 @dataclass(frozen=True)

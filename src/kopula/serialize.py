@@ -17,8 +17,8 @@ block of 2^12 finite float64 values through ``_floattext.join_reprs``
 only), any other block through the C encoder; the CSV writer formats its
 values the same way.  ``save_epd`` and the CLI's sample summary hand the
 pieces to the file as they come, so a table is written from its array
-without a list or text of its own; ``dump_json`` passes no arrays, and
-is the reference call.  The rows of ``kopula grid`` are formatted by
+without a list or text of its own; ``dump_json`` is the reference call
+itself, with no splice, so tables go through ``save_epd``.  The rows of ``kopula grid`` are formatted by
 ``_grid_csv_rows`` a block at a time, each distinct float once.
 
 Family and build configs are flat JSON objects; ``family_from_config``
@@ -155,11 +155,11 @@ def _json_chunks(obj, **bulk: np.ndarray) -> Iterator[str]:
 def dump_json(obj, fp: IO[str] | None = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    (``oracles.reference_dump_json``): ``_json_chunks`` with no arrays.
-    ``save_epd`` writes a table faster, splicing in its values array.
+    This is the reference call (``oracles.reference_dump_json``).  Write a
+    table with ``save_epd``: it splices in the values array, and is four to
+    five times faster than ``dump_json(epd_to_dict(d))`` at N = 16 and 18.
     """
-    text = "".join(_json_chunks(obj))
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if fp is not None:
         fp.write(text)
     return text
