@@ -13,6 +13,7 @@ to 2, any other ``KopulaError`` to 1, as one line on stderr):
     3  axiom violation found by validate
     4  oracle cross-check mismatch
 
+A warning prints as one ``kopula: warning: <message>`` line on stderr.
 Configs are single JSON documents; see the README for the schema.
 """
 
@@ -22,6 +23,7 @@ import argparse
 import functools
 import io
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Callable, Mapping
 
@@ -41,7 +43,10 @@ from .core import (
     epd2_from_epd1,
     marginals,
 )
+from .correlation import params_from_kor3
 from .families import (
+    _CHECK_RESOLUTION,
+    _CHECK_TOL,
     _grid_resolution,
     epd_from_kopula,
     epd_rows_from_kopula,
@@ -49,7 +54,7 @@ from .families import (
     independent_kopula,
     verify_one_function,
 )
-from .frame import FrameParams, frechet_bounds, triplet_epd, build_nset_epd
+from .frame import FrameParams, triplet_epd, build_nset_epd
 from .oracles import (
     naive_epd1_from_epd2,
     naive_epd2_from_epd1,
@@ -135,7 +140,7 @@ def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:
     if len(held) != len(fixed):
         raise ConfigError(f"'fixed' names an event twice: {list(fixed)}")
     swept = tuple(_read_event(k, ctx, "grid 'axes'") for k in axes)
-    spec = GridSpec(resolution or cfg.get("resolution", 9), swept, held)
+    spec = GridSpec(resolution or cfg.get("resolution", _CHECK_RESOLUTION), swept, held)
     missing = [k for k in range(n) if k not in spec.axes and k not in spec.fixed]
     if missing:
         raise ParameterRangeError(
@@ -260,7 +265,7 @@ def _cmd_renumber(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
     if not 1 <= n <= 6:
-        raise _CliFailure(EXIT_PARSE, f"oracle runs need n <= 6 events, got {n}")
+        raise _CliFailure(EXIT_PARSE, f"oracle runs need 1 <= n <= 6 events, got {n}")
     trials = args.trials
     if trials < 1:
         raise _CliFailure(EXIT_PARSE, f"oracle runs need --trials >= 1, got {trials}")
@@ -304,15 +309,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     def frame_triplet():
         px, py, pz = np.sort(rng.uniform(0.0, 0.5, 3))[::-1]
         p = MarginalSet(ctx3, (float(px), float(py), float(pz)), half_rare=True)
-        w1 = frechet_bounds({}, 0b1, py, px)
-        a1 = float(rng.uniform(w1.lower, w1.upper))
-        w2 = frechet_bounds({}, 0b1, pz, px)
-        a2 = float(rng.uniform(w2.lower, w2.upper))
-        wi = frechet_bounds({0b01: a1, 0b10: a2}, 0b11, None, px)
-        t_in = float(rng.uniform(wi.lower, wi.upper))
-        wo = frechet_bounds({0b01: py - a1, 0b10: pz - a2}, 0b11, None, 1.0 - px)
-        t_out = float(rng.uniform(wo.lower, wo.upper))
-        params = FrameParams.from_triplet(a1, a2, t_in, t_out)
+        params = params_from_kor3(p, *rng.uniform(-1.0, 1.0, 4), modification=2)
         ref = naive_epd1_from_epd2(Epd2(ctx3, params.complete_table(p.probs)))
         return gaps((triplet_epd(p, params).values, ref.values))
 
@@ -426,8 +423,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="grid-check the 1-function properties of a family")
     p.add_argument("--config", metavar="PATH", required=True)
-    p.add_argument("--resolution", metavar="K", type=int, default=9)
-    p.add_argument("--tol", metavar="X", type=float, default=1e-8)
+    p.add_argument("--resolution", metavar="K", type=int, default=_CHECK_RESOLUTION)
+    p.add_argument("--tol", metavar="X", type=float, default=_CHECK_TOL)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("oracle", help="cross-check fast kernels against brute force")
@@ -452,7 +449,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    """A warning as one stderr line, without its file, line number and source text."""
+    return f"kopula: warning: {message}\n"
+
+
 def run(argv: list[str] | None = None) -> int:
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
@@ -469,6 +472,8 @@ def run(argv: list[str] | None = None) -> int:
         what = "out of memory" if isinstance(exc, MemoryError) else "input nested too deeply"
         print(f"kopula: {what}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        warnings.formatwarning = shown
 
 
 def main() -> None:

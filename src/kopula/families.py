@@ -267,8 +267,13 @@ class OneFunctionReport:
         return "\n".join(lines)
 
 
+# The 1-function check's defaults, shared with `kopula validate` and a grid config
+_CHECK_RESOLUTION = 9
+_CHECK_TOL = 1e-8
+
+
 def verify_one_function(
-    k: KopulaFamily, grid_resolution: int = 9, tol: float = 1e-8
+    k: KopulaFamily, grid_resolution: int = _CHECK_RESOLUTION, tol: float = _CHECK_TOL
 ) -> OneFunctionReport:
     """Check the 1-function properties of ``k`` on a regular grid.
 

@@ -5,9 +5,21 @@ Kept outside conftest so tests can import them explicitly by name.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from kopula import Epd1, Epd2, EventSetContext
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of what it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def epd1(context: EventSetContext, values) -> Epd1:

@@ -5,6 +5,11 @@ is actually asserted; output lands in tmp files or capsys.
 """
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from kopula.cli import run
 from helpers import epd1
 
 DOUBLET = (0.56, 0.24, 0.14, 0.06)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_json(path, obj):
@@ -385,6 +391,8 @@ def test_oracle_mismatch_exit_4(monkeypatch, capsys):
         (["validate", "--tol", "nan"], "tol must be a finite number >= 0, got nan"),
         (["validate", "--tol", "-1"], "tol must be a finite number >= 0, got -1.0"),
         (["validate", "--tol", "inf"], "tol must be a finite number >= 0, got inf"),
+        (["oracle", "--n", "0"], "oracle runs need 1 <= n <= 6 events, got 0"),
+        (["oracle", "--n", "7"], "oracle runs need 1 <= n <= 6 events, got 7"),
         (["oracle", "--trials", "0"], "oracle runs need --trials >= 1, got 0"),
         (["oracle", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
         (["oracle", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
@@ -422,6 +430,36 @@ def test_library_errors_map_to_exit_codes_in_run(monkeypatch, capsys, error, cod
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "the build refused its point\n"
+
+
+CLAMPED = {
+    "marginals": [0.5, 0.4, 0.3],
+    "frame_params": {"x0&x1": 0.45, "x0&x2": 0.1, "x0&x1&x2": 0.05, "x1&x2": 0.1},
+    "policy": "clamp",
+}
+CLAMP_TEXT = "build_nset_epd: 2 intersection value(s) clamped into their windows"
+
+
+def test_a_warning_prints_as_one_line(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", CLAMPED)
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "kopula", "build", "--config", cfg, "--out", str(tmp_path / "t")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr.startswith(f"kopula: warning: {CLAMP_TEXT};")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("clamped into [0.0, 0.0]\n")
+
+
+def test_an_outer_recorder_still_records_warnings(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", CLAMPED)
+    shown = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["build", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert [str(w.message)[:len(CLAMP_TEXT)] for w in caught] == [CLAMP_TEXT]
+    assert warnings.formatwarning is shown
 
 
 def test_a_table_with_many_bad_cells_reports_a_few(tmp_path, capsys):

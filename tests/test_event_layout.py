@@ -5,12 +5,12 @@ same cells in the same ascending mask order as a boolean selection over
 ``np.arange(2**n)``, so that sums round the same way.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import kopula as ko
+
+from helpers import traced_peak
 
 SIZES = range(1, 13)
 
@@ -122,11 +122,6 @@ def test_halves_are_raveled_before_they_are_summed():
 def test_validate_epd2_memory_stays_near_one_table():
     n = 18
     d = ko.epd2_from_epd1(rough_epd1(n, 0))
-    tracemalloc.start()
-    try:
-        report = ko.validate_epd2(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: ko.validate_epd2(d))
     assert report.ok
     assert peak < 1.5 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"

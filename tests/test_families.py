@@ -7,7 +7,7 @@ import pytest
 
 import kopula as ko
 
-from helpers import product_table
+from helpers import product_table, traced_peak
 
 PAIR = ko.pair_context()
 
@@ -564,17 +564,6 @@ def test_report_text_is_the_recorded_one(family, resolution, text):
     assert ko.verify_one_function(family, resolution).describe() == text
 
 
-def traced_mib(fn):
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize(
     "family, resolution, bound",
     [
@@ -586,24 +575,18 @@ def traced_mib(fn):
     ids=["clayton-401", "independent4-13"],
 )
 def test_verify_one_function_evaluates_in_place(family, resolution, bound):
-    peak = traced_mib(lambda: ko.verify_one_function(family, resolution))
+    _, peak = traced_peak(lambda: ko.verify_one_function(family, resolution))
+    peak /= 2**20
     assert peak < bound, f"peak {peak:.2f} MiB"
 
 
 def test_independent_table_memory_stays_near_one_table():
-    import tracemalloc
-
     n = 18
     ctx = ko.EventSetContext(n)
     probs = np.linspace(0.05, 0.95, n)
     point = ko.MarginalSet.from_values(ctx, probs)
     fam = ko.independent_kopula(ctx)
-    tracemalloc.start()
-    try:
-        d = ko.epd_from_kopula(fam, point)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    d, peak = traced_peak(lambda: ko.epd_from_kopula(fam, point))
     assert peak < 6 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
     assert same_bits(d.values, product_table(probs))
 

@@ -313,6 +313,26 @@ class TestQuadrupletEpd:
         with pytest.raises(ko.InfeasibleParameterError):
             ko.quadruplet_epd(p, ko.FrameParams(4, bad))
 
+    def test_total_mass_left_off_by_the_dust_clamp_rejected(self):
+        # a feasible walk whose cells {} and {x0} come out as dust below 0: the clamp
+        # lifts them to 0 and leaves the total 1.6e-9 above 1, past SUM_ATOL
+        ctx = ko.EventSetContext(4)
+        values = np.full(16, 0.01)
+        values[[0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b1001]] = (
+            0.16, 0.18, 0.16, 0.20, 0.13, 0.09)
+        values[[0b0000, 0b0001]] = -8e-10
+        values[0b1110] += 1.6e-9
+        d = epd1(ctx, values)
+        p = ko.marginals(d)
+        np.testing.assert_allclose(p.probs, (0.46, 0.42, 0.37, 0.31), atol=1e-9)
+        params = ko.FrameParams.from_epd2(ko.epd2_from_epd1(d))
+        dust = r"quadruplet_epd: clamped 2 slightly negative cell\(s\) to 0"
+        with pytest.warns(RuntimeWarning, match=dust), \
+                pytest.raises(ko.InfeasibleParameterError) as exc:
+            ko.quadruplet_epd(p, params)
+        assert str(exc.value) == (
+            "quadruplet_epd: total mass 1.0000000016000001 deviates from 1 by +1.600e-09")
+
 
 class TestBuildNsetEpd:
     def test_doublet_with_rich_first_event(self):

@@ -7,7 +7,6 @@ them.
 """
 
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,8 @@ import pytest
 import kopula as ko
 from kopula import frame
 from kopula.oracles import naive_interval_walk, product_epd1, recursive_frame_epd1
+
+from helpers import traced_peak
 
 
 def random_dependent_epd1(rng, n):
@@ -192,19 +193,10 @@ class TestWhenTheWalkRuns:
         q = [proj.point.probs[k] for k in proj.permutation]
         return p, probs, ko.FrameParams.independence(q), q
 
-    @staticmethod
-    def traced_build(p, params, policy):
-        tracemalloc.start()
-        try:
-            d = ko.build_nset_epd(p, params, policy=policy)
-            return d, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_walk_memory_under_clamp(self, rng):
         n = 18
         p, probs, params, _ = self.independent_point(rng, n)
-        d, peak = self.traced_build(p, params, "clamp")
+        d, peak = traced_peak(lambda: ko.build_nset_epd(p, params, policy="clamp"))
         np.testing.assert_allclose(d.values, product_epd1(p.context, probs).values, atol=1e-15)
         # The build traced 6.2 MB, 3.12 tables: the intersections, and 2.1 in the
         # walk, which holds one size's masks, values and running facet sums and
@@ -220,8 +212,9 @@ class TestWhenTheWalkRuns:
         cells = ko.epd1_from_epd2(ko.Epd2(ko.EventSetContext(n), params.complete_table(q))).values
         t = params.table.copy()
         t[full] += 2 * min(cells[full ^ 1 << b] for b in range(n))
+        raised = ko.FrameParams(n, t)
         with pytest.warns(RuntimeWarning, match=r"2 intersection value\(s\) clamped"):
-            d, peak = self.traced_build(p, ko.FrameParams(n, t), "raise")
+            d, peak = traced_peak(lambda: ko.build_nset_epd(p, raised, policy="raise"))
         np.testing.assert_allclose(
             d.values, product_epd1(p.context, probs).values, atol=ko.VALUE_ATOL
         )

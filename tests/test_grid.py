@@ -19,6 +19,8 @@ from kopula.cli import run
 from kopula.oracles import pointwise_grid
 from kopula.serialize import _grid_csv_rows
 
+from helpers import traced_peak
+
 PAIR_CONFIGS = [
     ({"family": "independent", "n": 2}, True),
     ({"family": "frechet_upper"}, True),
@@ -290,17 +292,10 @@ def test_ascii_digit_strings_and_labels_name_events(tmp_path, capsys, extra):
 
 
 def test_grid_writes_block_by_block(tmp_path):
-    import tracemalloc
-
     out = tmp_path / "grid.csv"
     argv = ["grid", "--config", write_config(tmp_path, {"family": "independent", "n": 2}),
             "--resolution", "401", "--out", str(out)]
-    tracemalloc.start()
-    try:
-        code = run(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: run(argv))
     assert code == 0
     assert out.stat().st_size > 10 * 2**20  # 160,801 rows
     # One block of 16,384 rows, its floats and its text, traces about 8.5 MB;

@@ -20,7 +20,7 @@ from kopula.cli import run
 from kopula.oracles import naive_epd_csv, reference_dump_json
 from kopula.serialize import _json_chunks, dump_json, load_epd, save_epd, write_epd_csv
 
-from helpers import random_epd1
+from helpers import random_epd1, traced_peak
 
 
 def text_of(writer, d) -> str:
@@ -295,16 +295,6 @@ class ByteCount:
     def writelines(self, pieces):
         for text in pieces:
             self.write(text)
-
-
-def traced_peak(fn):
-    """``fn()`` and the peak of what it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_save_epd_holds_less_than_one_table_while_it_writes(rng):

@@ -7,27 +7,15 @@ from after the inputs exist.  Also here: the one integer rule for counts
 and masks.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import kopula as ko
 
-from helpers import random_epd1
+from helpers import random_epd1, traced_peak
 
 N = 18
 TABLE = (1 << N) * 8
-
-
-def traced_tables(fn):
-    """``fn()`` and the peak of what it allocated, in tables of 2**N float64."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] / TABLE
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +95,15 @@ class TestBuildersAdopt:
     """Peaks at N=18 before the builders adopted: 2.13, 1.56, 2.13 and 1.06 tables."""
 
     def test_epd2_from_epd1_holds_one_table(self, big):
-        out, peak = traced_tables(lambda: ko.epd2_from_epd1(big))
+        out, peak = traced_peak(lambda: ko.epd2_from_epd1(big))
+        peak /= TABLE
         assert out.values[0] == pytest.approx(1.0)
         # traced 1.13 tables: the superset sums, adopted
         assert peak < 1.5, f"peak {peak:.2f} tables"
 
     def test_conditional_epd_holds_its_block_and_the_result(self, big):
-        out, peak = traced_tables(lambda: ko.conditional_epd(big, 0b1))
+        out, peak = traced_peak(lambda: ko.conditional_epd(big, 0b1))
+        peak /= TABLE
         assert out.values.sum() == pytest.approx(1.0)
         # traced 1.06 tables when the raveled half and its quotient were two
         # arrays; 0.56 with the half copied once and divided in place, adopted
@@ -121,14 +111,16 @@ class TestBuildersAdopt:
 
     def test_frame_compose_holds_one_table(self, big):
         inside, outside = ko.frame_split(big, 0)
-        out, peak = traced_tables(lambda: ko.frame_compose(inside, outside, inside.mass))
+        out, peak = traced_peak(lambda: ko.frame_compose(inside, outside, inside.mass))
+        peak /= TABLE
         assert out.values.tobytes() == big.values.tobytes()
         # traced 1.13 tables: the stacked slices, adopted
         assert peak < 1.5, f"peak {peak:.2f} tables"
 
     def test_adopting_checks_finiteness_without_a_table_of_its_own(self, big):
         fresh = big.values.copy()
-        out, peak = traced_tables(lambda: ko.Epd1._adopt(big.context, fresh))
+        out, peak = traced_peak(lambda: ko.Epd1._adopt(big.context, fresh))
+        peak /= TABLE
         assert np.shares_memory(out.values, fresh)
         # traced 0.125 tables when finiteness was checked through a 2**N bool array
         assert peak < 1 / 16, f"peak {peak:.3f} tables"
@@ -142,7 +134,8 @@ class TestBuildersAdopt:
 
     def test_own_epd_holds_one_slice(self, big):
         inside, _ = ko.frame_split(big, 0)
-        out, peak = traced_tables(inside.own_epd)
+        out, peak = traced_peak(inside.own_epd)
+        peak /= TABLE
         assert out.values.sum() == pytest.approx(1.0)
         # traced 0.56 tables: one copy of the half-size slice, adopted
         assert peak < 0.75, f"peak {peak:.2f} tables"
