@@ -391,14 +391,14 @@ def test_oracle_mismatch_exit_4(monkeypatch, capsys):
         (["validate", "--tol", "nan"], "tol must be a finite number >= 0, got nan"),
         (["validate", "--tol", "-1"], "tol must be a finite number >= 0, got -1.0"),
         (["validate", "--tol", "inf"], "tol must be a finite number >= 0, got inf"),
-        (["oracle", "--n", "0"], "oracle runs need 1 <= n <= 6 events, got 0"),
-        (["oracle", "--n", "7"], "oracle runs need 1 <= n <= 6 events, got 7"),
         (["oracle", "--trials", "0"], "oracle runs need --trials >= 1, got 0"),
         (["oracle", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
         (["oracle", "--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
         (["oracle", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["validate", "--resolution", "1" + "0" * 400],
          f"grid resolution must be an integer in [2, 2**20], got {10**400}"),
+        (["oracle", "--n", "0"], "oracle runs need 1 <= n <= 6 events, got 0"),
+        (["oracle", "--n", "7"], "oracle runs need 1 <= n <= 6 events, got 7"),
     ],
 )
 def test_bad_oracle_or_validate_flags_exit_1(tmp_path, capsys, argv, text):
