@@ -37,11 +37,19 @@ few cells (4 for a pair), and numpy runs its inner loop over the last
 axis: with the points there, every branch, product and reduction runs
 once over a long row instead of once per point over a few cells.  The
 points of a ``grid_points`` block are column-major, so the coordinate
-column ``w[..., k]`` a family reads is contiguous.  The shipped families
-write each stage of a block into one array, in place.  The values are
-elementwise the same in either layout and either memory order, and a
-custom ``base`` must give the same values for any layout and memory
-order it is handed, broadcasting masks against the leading axes of w.
+column ``w[..., k]`` a family reads is contiguous, and each column is
+built from runs of equal digits with no arithmetic per row: the last
+axis cycles through its values from the block's first digit, and every
+other axis repeats each of the few digits the block meets.  The
+shipped families write each stage of a block into one array, in place.
+The values are elementwise the same in either layout and either memory
+order, and a custom ``base`` must give the same values for any layout
+and memory order it is handed, broadcasting masks against the leading
+axes of w.
+
+Gumbel and Joe switch to steep forms above theta = 100, where their
+textbook powers overflow or underflow; each factors its dominant term
+out, so every power left is of a ratio at most 1.
 
 A table built from a family finishes through ``core.clean_negative_dust``,
 as the frame and Mobius routes do: dust below zero is clamped with one
@@ -202,16 +210,40 @@ def grid_points(
     base = np.zeros(n)
     for k, v in (fixed or {}).items():
         base[k] = v
+    held = [k for k in range(n) if k not in axes]
     total = resolution ** len(axes)
     step = max(1, (1 << 16) >> n)
     for start in range(0, total, step):
-        rest = np.arange(start, min(start + step, total))
-        w = np.empty((rest.size, n), order="F")  # column-major: each coordinate is contiguous
-        w[:] = base
-        for k in reversed(axes):  # peel the row index's digits off, the last axis first
-            rest, digit = np.divmod(rest, resolution)
-            w[:, k] = axis[digit]
+        stop = min(start + step, total)
+        w = np.empty((stop - start, n), order="F")  # column-major: each coordinate is contiguous
+        w[:, held] = base[held]
+        # an axis holds its digit for ``run`` rows, the product of the later
+        # axes' resolutions; the block meets the runs first..last of it
+        run = 1
+        for k in reversed(axes):
+            first, last = start // run, (stop - 1) // run
+            if run == 1:
+                _cycle_into(w[:, k], axis, first)
+            else:
+                # a whole run inside the block is shorter than the block; the
+                # cap keeps a huge grid's run out of the count array's range
+                counts = np.full(last - first + 1, min(run, stop - start))
+                counts[0] = min((first + 1) * run, stop) - start
+                counts[-1] = stop - max(last * run, start)
+                w[:, k] = np.repeat(_cycle_into(np.empty(counts.size), axis, first), counts)
+            run *= resolution
         yield w
+
+
+def _cycle_into(out: np.ndarray, axis: np.ndarray, first: int) -> np.ndarray:
+    """Fill the contiguous ``out`` with ``axis[(first + i) % axis.size]`` at each i."""
+    head = axis[first % axis.size :][: out.size]
+    out[: head.size] = head
+    rest = out[head.size :]
+    whole = rest.size - rest.size % axis.size
+    rest[:whole].reshape(-1, axis.size)[...] = axis  # a view: ``rest`` is contiguous
+    rest[whole:] = axis[: rest.size - whole]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +505,7 @@ def convex_combination(
         acc = w[0] * parts[0](points, masks)
         for wk, part in zip(w[1:], parts[1:]):
             if wk != 0.0:
-                acc = acc + wk * part(points, masks)
+                acc += wk * part(points, masks)
         return acc
 
     name = "convex(" + ", ".join(f"{wk:g}*{k.name}" for wk, k in zip(w, parts)) + ")"
@@ -575,10 +607,10 @@ class PairParamFn:
 def _log_abs_expm1(z: np.ndarray) -> np.ndarray:
     """log|e**z - 1|, stable for any real z; 0 maps to -inf."""
     big = z > 30.0
-    safe = np.where(big, 0.0, z)
+    guard = bool(np.any(big))  # the two guard passes only where expm1 could overflow
     with np.errstate(divide="ignore"):
-        out = np.log(np.abs(np.expm1(safe)))
-    return np.where(big, z, out)
+        out = np.log(np.abs(np.expm1(np.where(big, 0.0, z) if guard else z)))
+    return np.where(big, z, out) if guard else out
 
 
 def _amh_fn(theta: float) -> PairFn:
@@ -642,6 +674,15 @@ def _frank_fn(theta: float) -> PairFn:
     return f
 
 
+# Up to this theta the textbook Gumbel and Joe forms can neither overflow
+# nor underflow on folded arguments a in [0, 1/2]: each Gumbel power
+# (-log a)**theta lies in [0.693**100, 744.4**100] ~ [1e-16, 2e287], and
+# each Joe power (1 - a)**theta is at least 0.5**100 ~ 8e-31.  Past it,
+# the steep forms factor the dominant term out, so every power is of a
+# ratio <= 1.
+_STEEP_THETA = 100.0
+
+
 def _gumbel_fn(theta: float) -> PairFn:
     def f(a, b):
         with np.errstate(divide="ignore"):
@@ -649,7 +690,15 @@ def _gumbel_fn(theta: float) -> PairFn:
             lb = (-np.log(b)) ** theta
             return np.exp(-((la + lb) ** (1.0 / theta)))
 
-    return f
+    def steep(a, b):
+        # exp(-x (1 + (y/x)^theta)^(1/theta)), x = -log min(a, b) >= y = -log max(a, b)
+        with np.errstate(divide="ignore"):
+            x = -np.log(np.minimum(a, b))
+            y = -np.log(np.maximum(a, b))
+        ratio = np.divide(y, x, out=np.ones(np.shape(x)), where=y < x)
+        return np.exp(-x * (1.0 + ratio**theta) ** (1.0 / theta))
+
+    return f if theta <= _STEEP_THETA else steep
 
 
 def _joe_fn(theta: float) -> PairFn:
@@ -658,7 +707,14 @@ def _joe_fn(theta: float) -> PairFn:
         ub = (1.0 - b) ** theta
         return 1.0 - (ua + ub - ua * ub) ** (1.0 / theta)
 
-    return f
+    def steep(a, b):
+        # lo - (1 - lo) expm1(log1p(v - u_hi) / theta), with
+        # v = ((1 - hi) / (1 - lo))^theta and u_hi = (1 - hi)^theta
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ratio = np.divide(1.0 - hi, 1.0 - lo, out=np.ones(np.shape(lo)), where=lo < 1.0)
+        return lo - (1.0 - lo) * np.expm1(np.log1p(ratio**theta - (1.0 - hi) ** theta) / theta)
+
+    return f if theta <= _STEEP_THETA else steep
 
 
 _CLASSICAL = {

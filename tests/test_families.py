@@ -1,9 +1,13 @@
 """Closed-form distribution families and the one-function verifier."""
 
+import itertools
 import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kopula as ko
 
@@ -173,6 +177,55 @@ class TestVerifier:
         assert first[:2].tolist() == [[0.0], [1.0 / (resolution - 1)]]
 
 
+def grid_reference(n, resolution, axes, fixed):
+    """The grid as ``itertools.product`` over ``np.linspace`` gives it, one row per point."""
+    axis = np.linspace(0.0, 1.0, resolution).tolist()
+    rows = np.zeros((resolution ** len(axes), n))
+    for k, v in fixed.items():
+        rows[:, k] = v
+    product = list(itertools.product(axis, repeat=len(axes)))
+    rows[:, axes] = np.reshape(product, (len(rows), len(axes)))
+    return rows
+
+
+def check_grid_blocks(n, resolution, axes, fixed):
+    blocks = list(ko.grid_points(n, resolution, axes, fixed))
+    step = max(1, (1 << 16) >> n)
+    assert all(len(b) == step for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= step
+    assert all(b.flags.f_contiguous and b.shape[1] == n for b in blocks)
+    got, want = np.concatenate(blocks), grid_reference(n, resolution, axes, fixed)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def grid_cases(draw):
+    n = draw(st.integers(1, 6))
+    axes = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    # at most about 20,000 points, so the reference stays quick
+    top = 60 if len(axes) < 2 else min(60, int(20_000 ** (1 / len(axes))))
+    resolution = draw(st.integers(2, top))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    fixed = {k: draw(unit) for k in range(n) if k not in axes}
+    return n, resolution, axes, fixed
+
+
+class TestGridPoints:
+    """The blocks of ``grid_points`` against ``itertools.product``, bit for bit."""
+
+    @given(grid_cases())
+    def test_blocks_are_the_product_grid(self, case):
+        check_grid_blocks(*case)
+
+    @pytest.mark.parametrize(
+        "n, resolution, axes, fixed",
+        [(2, 401, [0, 1], {}), (1, 70_000, [0], {}), (3, 41, [2, 0], {1: 0.3})],
+        ids=["pair-401", "one-axis-70000", "swapped-axes"],
+    )
+    def test_runs_that_cross_block_edges(self, n, resolution, axes, fixed):
+        check_grid_blocks(n, resolution, axes, fixed)
+
+
 class TestEpdFromKopula:
     def test_marginals_recovered(self, rng):
         fam = ko.parametric_2kopula(ko.classical_pair_param("frank", 4.0).fn, name="frank")
@@ -226,6 +279,50 @@ class TestEvaluator:
             assert cells[2] + cells[3] == pytest.approx(w[1], abs=1e-12)
 
 
+def _decimal_context(ctx):
+    ctx.prec, ctx.Emax, ctx.Emin = 50, MAX_EMAX, MIN_EMIN
+
+
+def _ln1m(x):
+    """log(1 - x) for a Decimal x in [0, 1/2], without cancellation at small x."""
+    return -(x + x * x / 2 + x**3 / 3) if x < Decimal("1e-12") else (1 - x).ln()
+
+
+def _expm1(z):
+    return z + z * z / 2 + z**3 / 6 if abs(z) < Decimal("1e-12") else z.exp() - 1
+
+
+def gumbel_decimal(a, b, theta):
+    """exp(-(x^t + y^t)^(1/t)), x = -log a, y = -log b, to 50 digits, x factored out."""
+    if min(a, b) == 0.0:
+        return 0.0
+    with localcontext() as ctx:
+        _decimal_context(ctx)
+        t = Decimal(theta)
+        x, y = -Decimal(min(a, b)).ln(), -Decimal(max(a, b)).ln()
+        return float((-x * ((((y / x).ln() * t).exp() + 1).ln() / t).exp()).exp())
+
+
+def joe_decimal(a, b, theta):
+    """1 - (u + v - uv)^(1/t), u = (1 - a)^t, v = (1 - b)^t, to 50 digits, u factored out."""
+    lo, hi = Decimal(min(a, b)), Decimal(max(a, b))
+    with localcontext() as ctx:
+        _decimal_context(ctx)
+        t = Decimal(theta)
+        p, q = _ln1m(lo), _ln1m(hi)
+        rest = _expm1((1 + ((q - p) * t).exp() - (q * t).exp()).ln() / t)
+        return float(lo - (1 - lo) * rest)
+
+
+STEEP_REFERENCES = {"gumbel": gumbel_decimal, "joe": joe_decimal}
+# a = 0, a = b and b = 1/2, the points the textbook forms broke at, and tiny arguments
+STEEP_POINTS = [
+    (0.0, 0.0), (0.0, 0.3), (0.0, 0.5), (0.3, 0.3), (0.5, 0.5), (0.2206, 0.2206),
+    (0.1, 0.5), (0.25, 0.5), (0.4999, 0.5), (0.1304, 0.1956), (0.0151, 0.0227),
+    (0.01, 0.02), (1e-5, 1e-5), (1e-300, 0.4),
+]
+
+
 class TestClassicalPairFunctions:
     def test_spot_values(self):
         assert ko.classical_pair_param("amh", 0.0).fn(0.3, 0.4) == pytest.approx(0.12, abs=1e-15)
@@ -252,6 +349,24 @@ class TestClassicalPairFunctions:
         f = ko.classical_pair_param("clayton", theta).fn
         assert f(0.01, 0.02) == pytest.approx(0.01, rel=1e-12)
         assert f(np.array([0.0, 0.0]), np.array([0.0, 0.3])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("theta", [150.0, 1e3, 1e4, 1e6, 1e308])
+    @pytest.mark.parametrize("name", ["gumbel", "joe"])
+    def test_gumbel_and_joe_at_large_theta(self, name, theta):
+        """Against 50 digits, at points that overflowed or underflowed the textbook forms."""
+        a, b = np.array(STEEP_POINTS).T
+        got = ko.classical_pair_param(name, theta).fn(a, b)
+        want = [STEEP_REFERENCES[name](x, y, theta) for x, y in STEEP_POINTS]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2**-52)
+
+    @pytest.mark.parametrize("name", ["gumbel", "joe"])
+    def test_gumbel_and_joe_forms_meet_at_theta_100(self, name):
+        """The steep form starts just past theta = 100; there both forms agree."""
+        axis = np.linspace(0.0, 0.5, 201)
+        a, b = (v.ravel() for v in np.meshgrid(axis, axis))
+        textbook = ko.classical_pair_param(name, 100.0).fn(a, b)
+        steep = ko.classical_pair_param(name, np.nextafter(100.0, np.inf)).fn(a, b)
+        assert np.max(np.abs(textbook - steep)) <= 2**-52  # two ulps of 1/2
 
     def test_theta_is_recorded(self):
         pf = ko.classical_pair_param("clayton", 2.5)
@@ -442,6 +557,63 @@ def test_pair_lift_fills_the_four_slots_cell_by_cell(name, f):
             assert same_bits(fam(corner, np.int64(m)), want[r, m])
 
 
+def lifted_block(f, w):
+    """The pair lift of ``f`` on the (rows, 2) points ``w``, cells-outer as the verifier asks."""
+    return ko.parametric_2kopula(f, "banded")(w[None, :, :], np.arange(4)[:, None])
+
+
+def by_first_coordinate(values):
+    """A pair function that gives ``values[a]`` at the listed a, and a * b elsewhere."""
+
+    def f(a, b):
+        out = a * b
+        for key, v in values.items():
+            out = np.where(a == key, v, out)
+        return out
+
+    return f
+
+
+class TestBand:
+    """The band check of the pair lift: which row it names, NaN and -0.0."""
+
+    def band_error(self, f, w):
+        with pytest.raises(ko.InfeasibleParameterError) as caught:
+            lifted_block(f, w)
+        return str(caught.value)
+
+    def test_the_larger_excursion_is_named(self):
+        f = by_first_coordinate({0.125: -0.125, 0.25: 0.5})
+        for w in ([[0.125, 0.5], [0.25, 0.5]], [[0.25, 0.5], [0.125, 0.5]]):
+            assert self.band_error(f, np.array(w)) == (
+                "pair function of family 'banded' leaves the admissible band at "
+                "(a, b) = (0.25, 0.5): value 5.000000e-01 not in [0, 2.500000e-01]"
+            )
+
+    def test_a_tie_names_the_first_row(self):
+        f = by_first_coordinate({0.125: -0.125, 0.25: 0.375})  # both 0.125 out
+        w = np.array([[0.4, 0.3], [0.125, 0.5], [0.25, 0.5]])
+        assert self.band_error(f, w).endswith(
+            "(a, b) = (0.125, 0.5): value -1.250000e-01 not in [0, 1.250000e-01]"
+        )
+        assert self.band_error(f, w[[0, 2, 1]]).endswith(
+            "(a, b) = (0.25, 0.5): value 3.750000e-01 not in [0, 2.500000e-01]"
+        )
+
+    def test_a_nan_row_before_an_out_of_band_row_raises_nothing(self):
+        f = by_first_coordinate({0.125: np.nan, 0.25: 0.5})
+        out = lifted_block(f, np.array([[0.125, 0.5], [0.25, 0.5]]))
+        assert np.isnan(out[:, 0]).all()
+        assert out[:, 1].tolist() == [0.5, 0.0, 0.25, 0.25]  # clipped to the upper bound
+
+    def test_an_in_band_negative_zero_keeps_its_sign(self):
+        f = by_first_coordinate({0.3: -0.0})
+        cells = ko.parametric_2kopula(f, "banded")(np.array([0.3, 0.4]), np.arange(4))
+        assert np.signbit(cells).tolist() == [False, False, False, True]  # both agree: f itself
+        block = lifted_block(f, np.array([[0.3, 0.4], [0.2, 0.4]]))  # in band: no error
+        assert (block[:, 0] == cells).all()
+
+
 def reference_report(k, resolution, tol=1e-8):
     """The report fields of ``verify_one_function``, scanned point by point.
 
@@ -567,8 +739,9 @@ def test_report_text_is_the_recorded_one(family, resolution, text):
 @pytest.mark.parametrize(
     "family, resolution, bound",
     [
-        # traced 3.70 MiB with out-of-place lift and checks, 3.14 MiB in place
-        (classical("clayton", 2.5), 401, 3.5),
+        # traced 3.70 MiB with out-of-place lift and checks, 3.14 MiB in place,
+        # 2.88 MiB with grid blocks built from runs (no index or digit arrays)
+        (classical("clayton", 2.5), 401, 3.2),
         # traced 2.08 MiB with out-of-place products and checks, 1.44 MiB in place
         (ko.independent_kopula(ko.EventSetContext(4)), 13, 1.75),
     ],
