@@ -40,10 +40,50 @@ Conventions used across the package:
   1); ``_COV_EPS`` = 1e-12 for a covariance, or the room beside its
   baseline, that counts as zero; ``_MASS_EPS`` = 1e-15 for a cell too
   light to condition on,
-* first-kind cells in (-VALUE_ATOL, 0) are clamped to 0 with one
-  RuntimeWarning by ``clean_negative_dust`` alone, on every route that
-  builds a table (family, frame, Mobius); a lower cell is an error, and
-  no first-kind cell it returns is -0.0.
+* every route that builds a first-kind table (family, frame, Mobius)
+  ends in one finish, ``_finish_epd1``.  A cell below -VALUE_ATOL raises
+  the caller's error; cells in (-VALUE_ATOL, 0) are clamped to 0 with one
+  RuntimeWarning; the mass the clamp adds is taken back out of the
+  positive cells in proportion, by one multiply that runs only when a
+  cell was clamped, so the total stays the raw table's; a total more than
+  SUM_ATOL from 1 raises the caller's error.  No cell it returns is -0.0.
+
+Why the finish gives the clamped mass back (u = 2**-53).  Rounding the
+float64 second-kind input already gives first-kind cell X an error of up
+to u * (sum over Y >= X of t[Y]); a compensated or reordered butterfly
+cannot remove it.  The butterfly adds little of its own: a difference of
+two values within a factor 2 of each other is exact, and on a dense
+Clayton table (theta = 20, marginals in (0.3, 0.5)) every cell but the
+empty one equals the correctly rounded alternating sum of its inputs.  So
+a valid table with tiny cells comes out with dust below 0, and the mass
+that zeroing it adds grows with N: on that table 5.4e-14 at N = 12,
+1.5e-9 at N = 22 and 9.2e-9 at N = 24, past SUM_ATOL.  The raw total is
+t[{}] up to the butterfly's and the summation's rounding, about N u,
+however much dust there is, and the finish keeps it to within
+(2N + 25) u: numpy sums 2**N values with at most N + 11 roundings on
+each, the finish sums twice and rounds its factor and each cell once.
+So only the cells limit the finish, and the bound above limits them:
+
+* folded input, every entry past t[{}] at most 1/2, as the frame route
+  builds it: at most u * 2**(N - 1) = 2**(N - 54), which is 9.3e-10 <
+  VALUE_ATOL at N = 24, whatever the strength of the dependence (the
+  bound is largest at the comonotone table, where the entries are
+  largest).  A valid folded table builds at every N this package takes,
+  as long as the butterfly's own roundings stay below the input's; in
+  the worst case they add N more of the same size;
+* unfolded second-kind input is ill-conditioned: entries near 1 give
+  u * 2**N, which is 9.3e-10 at N = 23 and 1.9e-9 at N = 24, so there a
+  valid table may raise.  The independence table at p = 0.99 and N = 24
+  reaches -8.8e-11, and zeroing its dust adds 7.2e-7, so the finish
+  moves its largest cell (0.79) by 5.7e-7, not by float dust.
+
+The sampler (``sampling``) inverts a sequential ``np.cumsum``: each step
+rounds once, by at most u * cdf[i], so the law it draws from is within
+about 2**N * u of the table's in total variation, and a cell of 0 is a
+flat step that is never drawn.  Background: Higham, *Accuracy and
+Stability of Numerical Algorithms* (2nd ed., SIAM 2002), ch. 4; Kennes
+and Smets, "Computational aspects of the Mobius transformation" (UAI
+1990).
 """
 
 from __future__ import annotations
@@ -374,15 +414,19 @@ class Epd2(_Table):
     """Second-kind table: probability that each subset occurs jointly."""
 
 
-def clean_negative_dust(
+def _finish_epd1(
     raw: np.ndarray, context: EventSetContext, where: str, error: type = InvalidDistributionError
-) -> np.ndarray:
-    """Clamp first-kind cells in (-VALUE_ATOL, 0) to 0 in place, with one warning;
-    a cell further below raises ``error``, the class its caller's exit code needs.
+) -> Epd1:
+    """The one finish of a first-kind table, in place, on every route (see the module docstring).
 
-    No cell leaves as -0.0: ``+= 0.0`` maps it to +0.0, where ``np.maximum``
-    does not say which zero it returns.  A NaN is left for ``Epd1``'s
-    finiteness check."""
+    A cell below -VALUE_ATOL raises ``error``, the class its caller's exit
+    code needs; cells in (-VALUE_ATOL, 0) are clamped to +0.0 with one
+    warning, and the mass that adds is taken back out of the positive
+    cells in proportion, so the total stays the raw table's; a total
+    more than SUM_ATOL from 1 raises ``error``.  No cell leaves as -0.0:
+    ``+= 0.0`` maps it to +0.0, where ``np.maximum`` does not say which
+    zero it returns.  A NaN reaches ``_Table``'s finiteness check before
+    the total is read."""
     worst = int(np.argmin(raw))
     if raw[worst] < -VALUE_ATOL:
         raise error(
@@ -396,9 +440,17 @@ def clean_negative_dust(
             RuntimeWarning,
             stacklevel=3,
         )
+        total = raw.sum()
         raw[neg] = 0.0
+        kept = raw.sum()
+        if kept > 0.0:  # dust alone leaves nothing to take the mass from: the check below fails
+            raw *= total / kept
     raw += 0.0
-    return raw
+    d = Epd1._adopt(context, raw)
+    total = float(raw.sum())
+    if abs(total - 1.0) > SUM_ATOL:
+        raise error(f"{where}: total mass {total!r} deviates from 1 by {total - 1.0:+.3e}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +497,7 @@ def epd1_from_epd2(d: Epd2) -> Epd1:
     An infeasible input (one that is not the superset-sum image of any
     nonnegative table) surfaces here as a negative output entry.
     """
-    raw = _superset_mobius(d.values, d.n_events)
-    return Epd1._adopt(d.context, clean_negative_dust(raw, d.context, "epd1_from_epd2"))
+    return _finish_epd1(_superset_mobius(d.values, d.n_events), d.context, "epd1_from_epd2")
 
 
 def _event_sums(values: np.ndarray, n: int) -> np.ndarray:

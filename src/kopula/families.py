@@ -51,10 +51,12 @@ Gumbel and Joe switch to steep forms above theta = 100, where their
 textbook powers overflow or underflow; each factors its dominant term
 out, so every power left is of a ratio at most 1.
 
-A table built from a family finishes through ``core.clean_negative_dust``,
-as the frame and Mobius routes do: dust below zero is clamped with one
-warning, a cell below -VALUE_ATOL is an ``InfeasibleParameterError``, and
-no cell is -0.0.  The library never writes into the array ``base`` returns.
+A table built from a family leaves through ``core._finish_epd1``, the
+finish of the frame and Mobius routes too: dust below zero is clamped
+with one warning and its mass taken back out of the positive cells, a
+cell below -VALUE_ATOL or a total more than SUM_ATOL from 1 is an
+``InfeasibleParameterError``, and no cell is -0.0.  The library never
+writes into the array ``base`` returns.
 """
 
 from __future__ import annotations
@@ -70,10 +72,11 @@ from .core import (
     InfeasibleParameterError,
     MarginalSet,
     ParameterRangeError,
+    SUM_ATOL,
     VALUE_ATOL,
     _UNIT_SNAP,
+    _finish_epd1,
     _is_int,
-    clean_negative_dust,
 )
 
 __all__ = [
@@ -138,11 +141,10 @@ def epd_from_kopula(k: KopulaFamily, p: MarginalSet) -> Epd1:
     """Fill the first-kind table of family ``k`` at marginal point ``p``."""
     k.context.require_same(p.context, "epd_from_kopula")
     w = np.asarray(p.probs, dtype=np.float64)
-    # one copy: the cleaner works in place, and ``base`` may return an array it keeps
+    # one copy: the finish works in place, and ``base`` may return an array it keeps
     raw = np.array(k(w, np.arange(k.context.size)))
     where = f"family {k.name!r} at point {tuple(p.probs)}"
-    raw = clean_negative_dust(raw, k.context, where, InfeasibleParameterError)
-    return Epd1._adopt(k.context, raw)
+    return _finish_epd1(raw, k.context, where, InfeasibleParameterError)
 
 
 def epd_rows_from_kopula(
@@ -153,13 +155,13 @@ def epd_rows_from_kopula(
     Row r is ``epd_from_kopula`` at the point ``w[r]``, from one
     evaluation of the whole block; a family's array arithmetic may round
     differently in bulk (``**`` does, by at most one ulp).  Only a row
-    the cleaner would touch runs point by point: a row with a cell whose
-    sign bit is set (dust, -0.0 or worse) or a NaN cell, or every row of
-    a block whose pair function left its band, goes through
-    ``epd_from_kopula`` again.  A row that is infeasible there comes back
-    as NaN, and its error is listed with the row index.  The block is
-    copied only when a row is redone, so the family's array is never
-    written into.
+    the finish would touch runs point by point: a row with a cell whose
+    sign bit is set (dust, -0.0 or worse), or whose total is NaN or off
+    1 by more than SUM_ATOL, or every row of a block whose pair function
+    left its band, goes through ``epd_from_kopula`` again.  A row that is
+    infeasible there comes back as NaN, and its error is listed with the
+    row index.  The block is copied only when a row is redone, so the
+    family's array is never written into.
     """
     masks = np.arange(k.context.size)
     try:
@@ -168,7 +170,8 @@ def epd_rows_from_kopula(
         values = np.empty((len(w), masks.size))
         redo = range(len(w))
     else:
-        redo = np.flatnonzero((np.signbit(values) | np.isnan(values)).any(axis=1)).tolist()
+        off = ~(np.abs(values.sum(axis=1) - 1.0) <= SUM_ATOL)
+        redo = np.flatnonzero(np.signbit(values).any(axis=1) | off).tolist()
         if redo:
             values = values.copy()
     failures = []
@@ -441,8 +444,8 @@ def parametric_2kopula(
         fv = np.asarray(f(lo, hi), dtype=np.float64)
         cap = lo
         err = np.maximum(-fv, fv - cap)
-        worst = int(np.argmax(err))
-        if err.reshape(-1)[worst] > VALUE_ATOL:
+        worst = int(np.argmax(err)) if err.size else 0  # an empty block leaves no band
+        if err.size and err.reshape(-1)[worst] > VALUE_ATOL:
             a_bad = lo.reshape(-1)[worst]
             b_bad = hi.reshape(-1)[worst]
             raise InfeasibleParameterError(

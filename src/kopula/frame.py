@@ -30,14 +30,15 @@ to its midpoint, by more it is empty.
 marginal check and the unfold: complete the intersection table, walk
 the windows of the top-level frame split if needed, invert it, unfold
 (the inverse sort and fold of ``build_nset_epd``, a transpose and flip
-of the tensor view), clamp the dust, check the total.  The walk runs
-under "clamp", before the first inversion, and under "raise" when a cell
-is negative, so that the error names the first offending window; every
-slack it checks is a nonnegative combination of cells.  It takes one
-subset size at a time, the masks of that size read from one int8 array
-of sizes, holding the running sums and minima of their facets.  Anything
-infeasible deeper down is a negative cell, rejected by
-``core.clean_negative_dust``, the one clamp.
+of the tensor view), finish (``core._finish_epd1``: clamp the dust, give
+its mass back, check the total).  The walk runs under "clamp", before
+the first inversion, and under "raise" when a cell is negative, so that
+the error names the first offending window; every slack it checks is a
+nonnegative combination of cells.  It takes one subset size at a time,
+the masks of that size read from one int8 array of sizes, holding the
+running sums and minima of their facets.  Anything infeasible deeper
+down is a negative cell, rejected by ``core._finish_epd1``, the one
+finish of every route.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ from .core import (
     VALUE_ATOL,
     _MASS_EPS,
     _Table,
+    _finish_epd1,
     _halves,
     _is_int,
     _superset_mobius,
-    clean_negative_dust,
     clean_unit_interval,
     mask_bits,
-    validate_epd1,
 )
 from .phenomena import half_rare_projection, transpose_events
 
@@ -552,7 +552,7 @@ def _walk_intervals(t: np.ndarray, policy: str, who: str) -> None:
 def _build(
     ctx: EventSetContext, params: FrameParams, probs, policy: str, who: str, unfold=None
 ) -> Epd1:
-    """Complete, walk if needed, invert, unfold, clamp the dust, check the total.
+    """Complete, walk if needed, invert, unfold, finish.
 
     The walk runs only where it can change the outcome: under "clamp", or on a negative cell.
     """
@@ -567,10 +567,7 @@ def _build(
     del t  # free the intersections before the unfold copies the cells
     if unfold is not None:
         cells = unfold(cells)
-    d = Epd1._adopt(ctx, clean_negative_dust(cells, ctx, who, InfeasibleParameterError))
-    if abs(d.values.sum() - 1.0) > SUM_ATOL:  # no cell is below 0 now: only the total can fail
-        raise InfeasibleParameterError(f"{who}: {validate_epd1(d).describe()}")
-    return d
+    return _finish_epd1(cells, ctx, who, InfeasibleParameterError)
 
 
 def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> tuple[float, ...]:

@@ -12,6 +12,36 @@ import numpy as np
 from kopula import Epd1, Epd2, EventSetContext
 
 
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def finish_bound(n: int) -> float:
+    """How far the finish may move the total of a 2**n-cell table off its raw total.
+
+    numpy sums 2**n float64 values pairwise: n - 7 halvings down to blocks
+    of 128, each summed in 8 lanes of 16 and the lanes in 3 more rounds,
+    so no value meets more than n + 11 roundings (fewer below n = 7).  On
+    a dusty table the finish sums the clamped cells (its factor's
+    divisor), rounds the factor once and each cell once in the multiply,
+    and the finished total is summed again: 2 (n + 11) + 2 roundings, each
+    relative to a sum of nonnegative values, the raw total.  One u more
+    covers the second-order terms."""
+    return (2 * n + 25) * U
+
+
+def clayton_intersections(n: int, theta: float = 20.0, seed: int = 5):
+    """Marginals and second-kind table of {U_k <= q_k} under a Clayton copula, by doubling.
+
+    The q_k are drawn from (0.3, 0.5) and sorted down, so the point is
+    already half-rare and ordered; t[S] = (1 + sum over k in S of
+    (q_k**-theta - 1))**(-1/theta) is valid at every n for theta > 0."""
+    q = np.sort(np.random.default_rng(seed).uniform(0.3, 0.5, n))[::-1]
+    s = np.zeros(1)
+    for qk in q:
+        s = np.concatenate([s, s + (qk**-theta - 1.0)])
+    return q, (1.0 + s) ** (-1.0 / theta)
+
+
 def traced_peak(fn):
     """``fn()`` and the peak of what it allocated, in bytes."""
     tracemalloc.start()

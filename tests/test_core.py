@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kopula as ko
-from kopula.core import clean_negative_dust
+from kopula.core import _finish_epd1
 from kopula.oracles import (
     naive_epd1_from_epd2,
     naive_epd2_from_epd1,
@@ -227,24 +227,29 @@ class TestNegativeDust:
     def test_dust_is_clamped_with_warning(self, ctx2):
         values = np.array([-5e-10, 0.5, 0.3, 0.2])
         with pytest.warns(RuntimeWarning):
-            out = clean_negative_dust(values, ctx2, "test")
+            out = _finish_epd1(values, ctx2, "test").values
         assert out[0] == 0.0
 
     def test_real_negatives_raise(self, ctx2):
         values = np.array([-1e-6, 0.5, 0.3, 0.2])
         with pytest.raises(ko.InvalidDistributionError):
-            clean_negative_dust(values, ctx2, "test")
+            _finish_epd1(values, ctx2, "test")
 
     def test_negative_zero_leaves_as_positive_zero_and_nan_stays(self, ctx2):
         values = np.array([-0.0, 0.5, np.nan, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # -0.0 is not dust: no warning
-            out = clean_negative_dust(values, ctx2, "test")
-        assert out is values
-        assert out[0] == 0.0 and not np.signbit(out[0])
-        assert np.isnan(out[2])
-        with pytest.raises(ko.InvalidDistributionError, match="finite"):
-            ko.Epd1._adopt(ctx2, out)
+            with pytest.raises(ko.InvalidDistributionError, match="finite"):
+                _finish_epd1(values, ctx2, "test")  # in place, up to the finiteness check
+        assert values[0] == 0.0 and not np.signbit(values[0])
+        assert np.isnan(values[2])
+
+    def test_a_total_off_one_raises(self, ctx2):
+        with pytest.raises(
+            ko.InvalidDistributionError,
+            match=r"^epd1_from_epd2: total mass 1\.00000000\d* deviates from 1 by \+2\.000e-09$",
+        ):
+            ko.epd1_from_epd2(epd2(ctx2, [1.0 + 2e-9, 0.5, 0.5, 0.25]))
 
     def test_mobius_inverse_gives_no_negative_zero(self, ctx2):
         out = ko.epd1_from_epd2(epd2(ctx2, [1.0, 0.5, 0.5, -0.0])).values

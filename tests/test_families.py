@@ -1,6 +1,7 @@
 """Closed-form distribution families and the one-function verifier."""
 
 import itertools
+import re
 import warnings
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import kopula as ko
 
-from helpers import product_table, traced_peak
+from helpers import finish_bound, product_table, traced_peak
 
 PAIR = ko.pair_context()
 
@@ -606,6 +607,11 @@ class TestBand:
         assert np.isnan(out[:, 0]).all()
         assert out[:, 1].tolist() == [0.5, 0.0, 0.25, 0.25]  # clipped to the upper bound
 
+    @pytest.mark.parametrize("family", PAIR_FAMILIES, ids=lambda f: f.name)
+    def test_an_empty_block_leaves_no_band(self, family):
+        rows, failures = ko.epd_rows_from_kopula(family, np.empty((0, 2)))
+        assert rows.shape == (0, 4) and failures == []
+
     def test_an_in_band_negative_zero_keeps_its_sign(self):
         f = by_first_coordinate({0.3: -0.0})
         cells = ko.parametric_2kopula(f, "banded")(np.array([0.3, 0.4]), np.arange(4))
@@ -779,7 +785,7 @@ KEPT = (-1e-12, 0.5, 0.2, 0.3 + 1e-12)
 
 
 class TestOneCleanup:
-    """The family route finishes through ``core.clean_negative_dust``, as the others do."""
+    """The family route finishes through ``core._finish_epd1``, as the others do."""
 
     def test_dust_is_one_warning_and_positive_zeros(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -788,8 +794,29 @@ class TestOneCleanup:
         assert [str(w.message) for w in caught] == [
             "family 'dusty' at point (1.0, 0.3): clamped 1 slightly negative cell(s) to 0"
         ]
-        assert values.tolist() == [0.0, 0.7, 0.0, 0.3]
+        # the 1e-12 the clamp adds comes back out of the positive cells in proportion
+        assert values.tolist() == pytest.approx([0.0, 0.7, 0.0, 0.3], rel=1.5e-12, abs=0.0)
+        assert abs(values.sum() - (1.0 - 1e-12)) <= finish_bound(2)
         assert not np.signbit(values).any()
+
+    def test_a_total_off_one_raises_on_both_routes(self):
+        text = (r"^family 'heavy' at point \(0\.5, 0\.5\): "
+                r"total mass 1\.00000000\d* deviates from 1 by \+2\.000e-09$")
+        fam = off_by(-2e-9, "heavy")
+        with pytest.raises(ko.InfeasibleParameterError, match=text):
+            table(fam, 0.5, 0.5)
+        rows, failures = ko.epd_rows_from_kopula(fam, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert np.isnan(rows).all() and [r for r, _ in failures] == [0, 1]
+        assert re.match(text, str(failures[0][1]))
+
+    def test_a_table_of_dust_alone_fails_its_total(self):
+        fam = ko.KopulaFamily(PAIR, lambda w, masks: np.where(masks == 0, -1e-12, 0.0), "dust")
+        with pytest.warns(RuntimeWarning, match="clamped 1 slightly negative"), pytest.raises(
+            ko.InfeasibleParameterError,
+            match=r"^family 'dust' at point \(0\.5, 0\.5\): total mass 0\.0 deviates from 1 by "
+            r"-1\.000e\+00$",
+        ):
+            table(fam, 0.5, 0.5)
 
     def test_a_cell_below_the_band_names_family_point_and_cell(self):
         with pytest.raises(
@@ -811,7 +838,9 @@ class TestOneCleanup:
         with pytest.warns(RuntimeWarning, match="clamped 1 slightly negative"):
             d = ko.epd_from_kopula(fam, pair_marginals(0.5, 0.5))
             rows, failures = ko.epd_rows_from_kopula(fam, np.array([[0.5, 0.5]]))
-        assert d.values.tolist() == [0.0, 0.5, 0.2, 0.3 + 1e-12]
+        clamped = [0.0, *KEPT[1:]]  # each cell then gives back at most 1e-12 of itself
+        assert d.values.tolist() == pytest.approx(clamped, rel=1.5e-12, abs=0.0)
+        assert abs(d.values.sum() - np.sum(KEPT)) <= finish_bound(2)
         assert failures == [] and same_bits(rows[0], d.values)
         assert same_bits(kept, np.array(KEPT))
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import kopula as ko
+from kopula.core import _superset_mobius
 from kopula.oracles import product_epd1
 
 from helpers import (
     constrained_epd_sampler,
     epd1,
     epd2,
+    finish_bound,
     permute_events,
     random_epd1,
 )
@@ -313,9 +315,9 @@ class TestQuadrupletEpd:
         with pytest.raises(ko.InfeasibleParameterError):
             ko.quadruplet_epd(p, ko.FrameParams(4, bad))
 
-    def test_total_mass_left_off_by_the_dust_clamp_rejected(self):
+    def test_total_mass_the_dust_clamp_adds_is_given_back(self):
         # a feasible walk whose cells {} and {x0} come out as dust below 0: the clamp
-        # lifts them to 0 and leaves the total 1.6e-9 above 1, past SUM_ATOL
+        # lifts them to 0, adding 1.6e-9, and the finish takes that back out
         ctx = ko.EventSetContext(4)
         values = np.full(16, 0.01)
         values[[0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b1001]] = (
@@ -326,12 +328,13 @@ class TestQuadrupletEpd:
         p = ko.marginals(d)
         np.testing.assert_allclose(p.probs, (0.46, 0.42, 0.37, 0.31), atol=1e-9)
         params = ko.FrameParams.from_epd2(ko.epd2_from_epd1(d))
+        raw = _superset_mobius(params.complete_table(p.probs), 4)
         dust = r"quadruplet_epd: clamped 2 slightly negative cell\(s\) to 0"
-        with pytest.warns(RuntimeWarning, match=dust), \
-                pytest.raises(ko.InfeasibleParameterError) as exc:
-            ko.quadruplet_epd(p, params)
-        assert str(exc.value) == (
-            "quadruplet_epd: total mass 1.0000000016000001 deviates from 1 by +1.600e-09")
+        with pytest.warns(RuntimeWarning, match=dust):
+            built = ko.quadruplet_epd(p, params)
+        assert built.values[:2].tolist() == [0.0, 0.0]
+        assert abs(built.values.sum() - raw.sum()) <= finish_bound(4)
+        assert ko.validate_epd1(built).ok
 
 
 class TestBuildNsetEpd:

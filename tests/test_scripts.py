@@ -64,6 +64,18 @@ def test_cli_budget_runs_every_table_command():
         assert row["out_mb"] > 0
 
 
+def test_large_n_check_builds_and_round_trips_every_table():
+    proc = run_script("large_n_check.py", "--sizes", "10")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])["rows"]
+    assert [(r["n"], r["table"], r["step"]) for r in rows] == [
+        (10, "clayton", s) for s in ("build", "write", "mobius", "back")
+    ] + [(10, "independence", s) for s in ("write", "mobius", "back")]
+    for row in rows:
+        assert row["exit"] == 0, row
+    assert [w.endswith("slightly negative cell(s) to 0") for w in rows[0]["warnings"]] == [True]
+
+
 def test_floattext_check_agrees_on_random_bit_patterns():
     proc = run_script("floattext_check.py", "--millions", "0.01", "--seed", "5")
     assert proc.returncode == 0, proc.stdout + proc.stderr
