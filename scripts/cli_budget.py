@@ -87,7 +87,7 @@ def run_command(n: int, name: str, argv: list, workdir: str) -> dict:
         return {**row, "exit": None, "note": proc.stderr.strip()[-300:]}
     row.update(json.loads(lines[-1]))
     if row["exit"] != 0:
-        row["note"] = proc.stderr.strip()[-300:]
+        row.update(note=proc.stderr.strip()[-300:], stderr_lines=proc.stderr.count("\n"))
     out = os.path.join(workdir, "out.json")
     if os.path.exists(out):
         row["out_mb"] = os.path.getsize(out) / 2**20

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Large-N checks: valid dense tables build, and round-trip through the CLI, at N = 22 and 24.
+"""Large-N checks: valid dense tables build and round-trip through the CLI, and a
+broken one is reported in a few lines, at N = 22 and 24.
 
     python3 scripts/large_n_check.py                  # N = 22, 24
     python3 scripts/large_n_check.py --sizes 6 10
 
 Run it on request; it is neither a test nor a benchmark workload.  Each
 step runs in a fresh interpreter that imports kopula from this
-repository's ``src``.  For each N, two second-kind tables:
+repository's ``src``.  For each N, three second-kind tables:
 
 * ``clayton``: the events {U_k <= q_k} under a Clayton copula, theta = 20,
   q_k drawn from (0.3, 0.5) (seed 5) and sorted down, filled by doubling.
@@ -14,13 +15,17 @@ repository's ``src``.  For each N, two second-kind tables:
   whose clamp adds mass that grows with N (1.5e-9 at N = 22).
 * ``independence``: every event at p = 0.99, unfolded, so its inverse is
   ill-conditioned: dust down to -8.8e-11 at N = 24.
+* ``rising``: values rising evenly with the mask from 0 to 1, so its
+  empty-set entry and every one of its N * 2**(N-1) single-event steps
+  break the axioms.  Its ``mobius`` row exits 1 with the 11-line report
+  (``stderr_lines``), not ``out of memory``.
 
 The rows, in order for each table:
 
     build    build_nset_epd on the table's intersections (clayton only)
     write    the second-kind file, 2.json
     mobius   kopula mobius --config 2.json --out 1.json
-    back     kopula mobius --config 1.json --out 2b.json
+    back     kopula mobius --config 1.json --out 2b.json (not rising)
 
 Each row gives its exit status (0 when the step returned), wall time and
 peak RSS; ``build`` also gives its total's deviation from 1 and the
@@ -51,6 +56,8 @@ def second_kind(kind: str, n: int):
     """(marginals, 2**n second-kind values) of ``kind`` at N = n, by doubling."""
     import numpy as np
 
+    if kind == "rising":
+        return None, np.linspace(0.0, 1.0, 1 << n)
     if kind == "independence":
         q = np.full(n, 0.99)
         t = np.ones(1)
@@ -118,6 +125,8 @@ def describe(row: dict) -> str:
         text += f"  total {row['total_dev']:+.2e}"
     if row.get("warnings"):
         text += f"  warned: {'; '.join(row['warnings'])}"
+    if "stderr_lines" in row:
+        text += f"  {row['stderr_lines']} lines on stderr"
     if row["exit"] != 0 and row.get("note"):
         text += f"  {row['note'].splitlines()[-1]}"
     return text
@@ -127,11 +136,11 @@ def probe(sizes: list, workdir: str) -> list:
     rows = []
     first, second, back = (os.path.join(workdir, f) for f in ("1.json", "2.json", "2b.json"))
     for n in sizes:
-        for kind in ("clayton", "independence"):
+        for kind in ("clayton", "independence", "rising"):
             steps = [("build", None)] if kind == "clayton" else []
-            steps += [("write", None),
-                      ("mobius", ["mobius", "--config", second, "--out", first]),
-                      ("back", ["mobius", "--config", first, "--out", back])]
+            steps += [("write", None), ("mobius", ["mobius", "--config", second, "--out", first])]
+            if kind != "rising":
+                steps += [("back", ["mobius", "--config", first, "--out", back])]
             for step, argv in steps:
                 if argv is None:
                     row = run_step(n, kind, step, second)

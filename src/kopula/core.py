@@ -41,12 +41,19 @@ Conventions used across the package:
   baseline, that counts as zero; ``_MASS_EPS`` = 1e-15 for a cell too
   light to condition on,
 * every route that builds a first-kind table (family, frame, Mobius)
-  ends in one finish, ``_finish_epd1``.  A cell below -VALUE_ATOL raises
-  the caller's error; cells in (-VALUE_ATOL, 0) are clamped to 0 with one
-  RuntimeWarning; the mass the clamp adds is taken back out of the
-  positive cells in proportion, by one multiply that runs only when a
-  cell was clamped, so the total stays the raw table's; a total more than
-  SUM_ATOL from 1 raises the caller's error.  No cell it returns is -0.0.
+  ends in one finish, ``_finish_epd1``.  A cell below -VALUE_ATOL, or a
+  NaN or +inf cell, raises the caller's error, naming the cell; cells
+  in (-VALUE_ATOL, 0) are clamped to 0 with one RuntimeWarning; the mass
+  the clamp adds is taken back out of the positive cells in proportion,
+  by one multiply that runs only when a cell was clamped, so the total
+  stays the raw table's; a total more than SUM_ATOL from 1 raises the
+  caller's error.  No cell it returns is -0.0,
+* a validation report (``Epd1Report``, ``Epd2Report``) is a view of the
+  table it checks: it holds the table's frozen array, its summary values
+  and the count of each rule's failures, and finds the failing entries
+  again whenever they are read.  ``describe`` formats only the 10 lines
+  it prints, taking the single-event steps one event at a time, so a
+  report costs a few tables of memory however many entries fail.
 
 Why the finish gives the clamped mass back (u = 2**-53).  Rounding the
 float64 second-kind input already gives first-kind cell X an error of up
@@ -89,7 +96,7 @@ and Smets, "Computational aspects of the Mobius transformation" (UAI
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Iterator, Mapping
@@ -419,19 +426,29 @@ def _finish_epd1(
 ) -> Epd1:
     """The one finish of a first-kind table, in place, on every route (see the module docstring).
 
-    A cell below -VALUE_ATOL raises ``error``, the class its caller's exit
+    No cell leaves as -0.0: ``+= 0.0`` maps it to +0.0, where ``np.maximum``
+    does not say which zero it returns.  A cell below -VALUE_ATOL, or the
+    first NaN or +inf cell, raises ``error``, the class its caller's exit
     code needs; cells in (-VALUE_ATOL, 0) are clamped to +0.0 with one
     warning, and the mass that adds is taken back out of the positive
     cells in proportion, so the total stays the raw table's; a total
-    more than SUM_ATOL from 1 raises ``error``.  No cell leaves as -0.0:
-    ``+= 0.0`` maps it to +0.0, where ``np.maximum`` does not say which
-    zero it returns.  A NaN reaches ``_Table``'s finiteness check before
-    the total is read."""
+    more than SUM_ATOL from 1 raises ``error``.  A finite table costs no
+    pass for the non-finite check: ``argmin`` stops at the first NaN, and
+    a +inf makes the total +inf."""
+    raw += 0.0
     worst = int(np.argmin(raw))
-    if raw[worst] < -VALUE_ATOL:
+    low = raw[worst]
+    if low < -VALUE_ATOL:
         raise error(
             f"{where}: the inputs drive the cell {{{context.mask_label(worst)}}} "
-            f"(index {worst}) to {raw[worst]:.6e}, below -{VALUE_ATOL:g}"
+            f"(index {worst}) to {low:.6e}, below -{VALUE_ATOL:g}"
+        )
+    total = raw.sum()
+    if not np.isfinite(total):  # a NaN cell, where argmin stopped, else a +inf one or an overflow
+        cell = worst if np.isnan(low) else int(np.argmax(raw))
+        raise error(
+            f"{where}: the inputs drive the cell {{{context.mask_label(cell)}}} (index {cell}) "
+            f"to {float(raw[cell])} and the total to {float(total)}; values must be finite"
         )
     neg = raw < 0.0
     if neg.any():
@@ -440,14 +457,13 @@ def _finish_epd1(
             RuntimeWarning,
             stacklevel=3,
         )
-        total = raw.sum()
         raw[neg] = 0.0
         kept = raw.sum()
         if kept > 0.0:  # dust alone leaves nothing to take the mass from: the check below fails
             raw *= total / kept
-    raw += 0.0
+        total = raw.sum()
     d = Epd1._adopt(context, raw)
-    total = float(raw.sum())
+    total = float(total)
     if abs(total - 1.0) > SUM_ATOL:
         raise error(f"{where}: total mass {total!r} deviates from 1 by {total - 1.0:+.3e}")
     return d
@@ -540,14 +556,57 @@ def _report_text(lines: Iterator[str], count: int) -> str:
     return "\n".join([*islice(lines, 10), *more])
 
 
-@dataclass(frozen=True)
+# The three rules, each stated once: the validators count with them, and
+# the entries and ``describe`` find the failures with them, one at a time.
+
+
+def _below(values, tol: float):
+    """The nonnegativity rule: below -tol."""
+    return values < -tol
+
+
+def _outside(values: np.ndarray, tol: float) -> np.ndarray:
+    """The range rule: outside [-tol, 1 + tol]."""
+    return _below(values, tol) | (values > 1.0 + tol)
+
+
+def _rises(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monotonicity rule along event k: the gaps (cells with k) - (cells without k),
+    and where they exceed MONOTONE_ATOL."""
+    without, with_k = _halves(values, k)
+    gap = with_k - without
+    return gap, gap > MONOTONE_ATOL
+
+
+def _cells(values: np.ndarray, bad: np.ndarray) -> Iterator[tuple[int, float]]:
+    """(mask, value) of each cell flagged in ``bad``, masks ascending."""
+    return ((int(m), float(values[m])) for m in np.flatnonzero(bad))
+
+
+def _steps_up(values: np.ndarray, n: int) -> Iterator[tuple[int, int, float]]:
+    """(subset, superset, gap) of each single-event step up, event by event, subsets
+    ascending; an event's steps are found once the previous event's are used up."""
+    for k in range(n):
+        gap, up = _rises(values, k)
+        row, col = np.nonzero(up)
+        for sub, g in zip(row << (k + 1) | col, gap[row, col]):
+            yield int(sub), int(sub) | 1 << k, float(g)
+
+
+@dataclass(frozen=True, eq=False)
 class Epd1Report:
+    """The checks of a first-kind table, a view of its frozen ``values``."""
+
     context: EventSetContext
+    values: np.ndarray = field(repr=False)
     tol: float
     total: float
-    negative_entries: tuple[tuple[int, float], ...]
     min_value: float
     min_subset: int
+
+    @property
+    def negative_entries(self) -> tuple[tuple[int, float], ...]:
+        return tuple(_cells(self.values, _below(self.values, self.tol)))
 
     @property
     def sum_ok(self) -> bool:
@@ -555,7 +614,7 @@ class Epd1Report:
 
     @property
     def nonnegative_ok(self) -> bool:
-        return not self.negative_entries
+        return not _below(self.min_value, self.tol)
 
     @property
     def ok(self) -> bool:
@@ -568,18 +627,31 @@ class Epd1Report:
         if not self.sum_ok:
             lines.append(f"total mass {self.total!r} deviates from 1 by {self.total - 1.0:+.3e}")
         label = self.context.mask_label
+        bad = _below(self.values, self.tol)
         cells = (f"negative probability {v:.6e} at subset {{{label(m)}}} (index {m})"
-                 for m, v in self.negative_entries)
-        return _report_text(chain(lines, cells), len(lines) + len(self.negative_entries))
+                 for m, v in _cells(self.values, bad))
+        return _report_text(chain(lines, cells), len(lines) + int(np.count_nonzero(bad)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Epd2Report:
+    """The checks of a second-kind table, a view of its frozen ``values``, with the
+    number of entries out of range and of single-event steps up."""
+
     context: EventSetContext
+    values: np.ndarray = field(repr=False)
     tol: float
     empty_value: float
-    range_entries: tuple[tuple[int, float], ...]
-    monotone_entries: tuple[tuple[int, int, float], ...]
+    range_count: int
+    monotone_count: int
+
+    @property
+    def range_entries(self) -> tuple[tuple[int, float], ...]:
+        return tuple(_cells(self.values, _outside(self.values, self.tol)))
+
+    @property
+    def monotone_entries(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(_steps_up(self.values, self.context.n_events))
 
     @property
     def empty_ok(self) -> bool:
@@ -587,11 +659,11 @@ class Epd2Report:
 
     @property
     def range_ok(self) -> bool:
-        return not self.range_entries
+        return not self.range_count
 
     @property
     def monotone_ok(self) -> bool:
-        return not self.monotone_entries
+        return not self.monotone_count
 
     @property
     def ok(self) -> bool:
@@ -604,10 +676,11 @@ class Epd2Report:
         if not self.empty_ok:
             lines.append(f"empty-set entry {self.empty_value!r} deviates from 1")
         label = self.context.mask_label
-        ranges = (f"entry {v:.6e} at {{{label(m)}}} outside [0, 1]" for m, v in self.range_entries)
+        ranges = (f"entry {v:.6e} at {{{label(m)}}} outside [0, 1]"
+                  for m, v in _cells(self.values, _outside(self.values, self.tol)))
         gaps = (f"monotonicity violated: {{{label(sup)}}} exceeds {{{label(sub)}}} by {gap:.3e}"
-                for sub, sup, gap in self.monotone_entries)
-        count = len(lines) + len(self.range_entries) + len(self.monotone_entries)
+                for sub, sup, gap in _steps_up(self.values, self.context.n_events))
+        count = len(lines) + self.range_count + self.monotone_count
         return _report_text(chain(lines, ranges, gaps), count)
 
 
@@ -615,12 +688,11 @@ def validate_epd1(d: Epd1, tol: float = SUM_ATOL) -> Epd1Report:
     """Check nonnegativity (within tol) and unit total mass (within tol)."""
     values = d.values
     worst = int(np.argmin(values))
-    bad = np.nonzero(values < -tol)[0]
     return Epd1Report(
         context=d.context,
+        values=values,
         tol=tol,
         total=float(values.sum()),
-        negative_entries=tuple((int(m), float(values[m])) for m in bad),
         min_value=float(values[worst]),
         min_subset=worst,
     )
@@ -633,18 +705,11 @@ def validate_epd2(d: Epd2, tol: float = SUM_ATOL) -> Epd2Report:
     subset pairs, so only N * 2**(N-1) comparisons are made.
     """
     values = d.values
-    out_of_range = np.nonzero((values < -tol) | (values > 1.0 + tol))[0]
-    mono: list[tuple[int, int, float]] = []
-    for k in range(d.n_events):
-        without, with_k = _halves(values, k)
-        gap = with_k - without
-        row, col = np.nonzero(gap > MONOTONE_ATOL)
-        lower = row << (k + 1) | col
-        mono.extend(zip(lower.tolist(), (lower | 1 << k).tolist(), gap[row, col].tolist()))
     return Epd2Report(
         context=d.context,
+        values=values,
         tol=tol,
         empty_value=float(values[0]),
-        range_entries=tuple((int(m), float(values[m])) for m in out_of_range),
-        monotone_entries=tuple(mono),
+        range_count=int(np.count_nonzero(_outside(values, tol))),
+        monotone_count=sum(int(np.count_nonzero(_rises(values, k)[1])) for k in range(d.n_events)),
     )

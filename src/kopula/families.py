@@ -54,8 +54,8 @@ out, so every power left is of a ratio at most 1.
 A table built from a family leaves through ``core._finish_epd1``, the
 finish of the frame and Mobius routes too: dust below zero is clamped
 with one warning and its mass taken back out of the positive cells, a
-cell below -VALUE_ATOL or a total more than SUM_ATOL from 1 is an
-``InfeasibleParameterError``, and no cell is -0.0.  The library never
+cell below -VALUE_ATOL, a NaN or +inf cell, or a total more than
+SUM_ATOL from 1 is an ``InfeasibleParameterError``, and no cell is -0.0.  The library never
 writes into the array ``base`` returns.
 """
 
@@ -157,10 +157,10 @@ def epd_rows_from_kopula(
     differently in bulk (``**`` does, by at most one ulp).  Only a row
     the finish would touch runs point by point: a row with a cell whose
     sign bit is set (dust, -0.0 or worse), or whose total is NaN or off
-    1 by more than SUM_ATOL, or every row of a block whose pair function
-    left its band, goes through ``epd_from_kopula`` again.  A row that is
-    infeasible there comes back as NaN, and its error is listed with the
-    row index.  The block is copied only when a row is redone, so the
+    1 by more than SUM_ATOL (a NaN or +inf cell among them), or every row
+    of a block whose pair function left its band, goes through
+    ``epd_from_kopula`` again.  A row that is infeasible there comes back
+    as NaN, and its error is listed with the row index.  The block is copied only when a row is redone, so the
     family's array is never written into.
     """
     masks = np.arange(k.context.size)

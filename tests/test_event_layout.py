@@ -54,6 +54,25 @@ def test_validate_epd2_entries_and_their_order(n):
     assert report.range_entries == tuple(ranged)
 
 
+def reference_validate_epd1(values, tol):
+    negative = [(int(m), float(values[m])) for m in range(values.size) if values[m] < -tol]
+    worst = min(range(values.size), key=lambda m: (values[m], m))  # the first of equal minima
+    return negative, float(values[worst]), worst
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_validate_epd1_entries_and_the_minimum(n):
+    rng = np.random.default_rng(n)
+    values = rng.uniform(-0.1, 0.1, 1 << n)  # about half the cells below -tol
+    values[-1] = -0.05
+    values[rng.integers(0, 1 << n)] = values.min()  # a tie for the minimum, at n > 1 often
+    report = ko.validate_epd1(ko.Epd1(ko.EventSetContext(n), values))
+    negative, min_value, min_subset = reference_validate_epd1(values, ko.SUM_ATOL)
+    assert negative and report.negative_entries == tuple(negative)
+    assert same_bits([v for _, v in report.negative_entries], [v for _, v in negative])
+    assert same_bits(report.min_value, min_value) and report.min_subset == min_subset
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_covariance_pair_sums(n):
     d = rough_epd1(n, n)
@@ -125,3 +144,27 @@ def test_validate_epd2_memory_stays_near_one_table():
     report, peak = traced_peak(lambda: ko.validate_epd2(d))
     assert report.ok
     assert peak < 1.5 * (1 << n) * 8, f"peak {peak / 2**20:.1f} MB"
+
+
+def rising_epd2(n):
+    """Values rising evenly with the mask: every one of the n * 2**(n-1) steps goes up."""
+    return ko.Epd2(ko.EventSetContext(n), np.linspace(0.0, 1.0, 1 << n))
+
+
+def test_a_report_of_every_step_up_stays_within_a_few_tables():
+    # the steps of one event at a time: its gaps, and its two index arrays of
+    # at most half a table each; 170.7 tables when every step was a tuple
+    n = 16
+    d = rising_epd2(n)
+    text, peak = traced_peak(lambda: ko.validate_epd2(d).describe())
+    assert text.endswith(f"… and {1 + n * (1 << n - 1) - 10} more")
+    assert peak < 4 * d.values.nbytes, f"{peak / d.values.nbytes:.1f} tables"
+
+
+def test_a_report_of_every_cell_negative_stays_within_a_few_tables():
+    # the indices of the negative cells, one table; 16.1 tables when each was a tuple
+    n = 16
+    d = ko.Epd1(ko.EventSetContext(n), np.full(1 << n, -1.0))
+    text, peak = traced_peak(lambda: ko.validate_epd1(d).describe())
+    assert text.endswith(f"… and {1 + (1 << n) - 10} more")
+    assert peak < 4 * d.values.nbytes, f"{peak / d.values.nbytes:.1f} tables"

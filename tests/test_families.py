@@ -818,6 +818,23 @@ class TestOneCleanup:
         ):
             table(fam, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_row_is_listed_and_the_others_kept(self, bad):
+        indep = ko.independent_kopula(PAIR)
+
+        def base(w, masks):  # ``bad`` in cell {y} wherever w_x is 0.7
+            out = indep(w, masks)
+            return np.where((w[..., 0] == 0.7) & (masks == 2), bad, out)
+
+        fam = ko.KopulaFamily(PAIR, base, "holed")
+        text = (rf"^family 'holed' at point \(0\.7, 0\.4\): the inputs drive the cell \{{x1\}} "
+                rf"\(index 2\) to {bad} and the total to {bad}; values must be finite$")
+        with pytest.raises(ko.InfeasibleParameterError, match=text):
+            table(fam, 0.7, 0.4)
+        rows, failures = ko.epd_rows_from_kopula(fam, np.array([[0.3, 0.4], [0.7, 0.4]]))
+        assert same_bits(rows[0], table(indep, 0.3, 0.4)) and np.isnan(rows[1]).all()
+        assert [r for r, _ in failures] == [1] and re.match(text, str(failures[0][1]))
+
     def test_a_cell_below_the_band_names_family_point_and_cell(self):
         with pytest.raises(
             ko.InfeasibleParameterError,

@@ -70,9 +70,15 @@ def test_large_n_check_builds_and_round_trips_every_table():
     rows = json.loads(proc.stdout.strip().splitlines()[-1])["rows"]
     assert [(r["n"], r["table"], r["step"]) for r in rows] == [
         (10, "clayton", s) for s in ("build", "write", "mobius", "back")
-    ] + [(10, "independence", s) for s in ("write", "mobius", "back")]
-    for row in rows:
+    ] + [(10, "independence", s) for s in ("write", "mobius", "back")] + [
+        (10, "rising", s) for s in ("write", "mobius")
+    ]
+    *valid, rising = rows
+    for row in valid:
         assert row["exit"] == 0, row
+    # the empty-set line and 10 * 2**9 steps up: 10 lines, then one for the rest
+    assert rising["exit"] == 1 and rising["stderr_lines"] == 11, rising
+    assert rising["note"].endswith("… and 5111 more"), rising
     assert [w.endswith("slightly negative cell(s) to 0") for w in rows[0]["warnings"]] == [True]
 
 
