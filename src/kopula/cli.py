@@ -39,6 +39,7 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
+    clean_unit_interval,
     epd1_from_epd2,
     epd2_from_epd1,
     marginals,
@@ -48,6 +49,7 @@ from .families import (
     _CHECK_RESOLUTION,
     _CHECK_TOL,
     _grid_resolution,
+    _tolerance,
     epd_from_kopula,
     epd_rows_from_kopula,
     grid_points,
@@ -65,7 +67,7 @@ from .oracles import (
     recursive_frame_epd1,
     reference_dump_json,
 )
-from .phenomena import half_rare_projection, renumber_epd1
+from .phenomena import _half_rare_keep, half_rare_projection, renumber_epd1
 from .sampling import SampleSpec, _summary_arrays, sample_summary
 from .serialize import (
     _BLOCK,
@@ -120,11 +122,10 @@ class GridSpec:
         both = sorted(set(self.axes) & set(self.fixed))
         if both:
             raise ConfigError(f"events {both} are both swept and fixed")
-        fixed = {k: _read_number(v, f"fixed value for event {k}") for k, v in self.fixed.items()}
-        for k, v in fixed.items():
-            if not 0.0 <= v <= 1.0:
-                raise ParameterRangeError(f"fixed value for event {k} is {v}, outside [0, 1]")
-        object.__setattr__(self, "fixed", fixed)
+        name = "fixed value for event {}".format
+        fixed = {k: _read_number(v, name(k)) for k, v in self.fixed.items()}
+        values = clean_unit_interval(list(fixed.values()), lambda i: name(list(fixed)[i]))
+        object.__setattr__(self, "fixed", dict(zip(fixed, values.tolist())))
 
 
 def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:
@@ -200,7 +201,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         + ",terrace_mask,"
         + ",".join(f"v_{m}" for m in range(ctx.size))
     )
-    bits = 1 << np.arange(n)
 
     def write(fp: IO[str]) -> None:  # one write per block of grid points, as it is formatted
         fp.write(header + "\n")
@@ -210,8 +210,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             for r, exc in failures:
                 print(f"grid: infeasible at {tuple(w[r].tolist())}: {exc}", file=sys.stderr)
             skipped += len(failures)
-            keep = (w <= 0.5) @ bits  # the half-rare projection's keep set of each row
-            fp.write(_grid_csv_rows(w, keep, values))
+            fp.write(_grid_csv_rows(w, _half_rare_keep(w), values))
         if skipped:
             print(f"grid: {skipped} infeasible row(s) written as nan", file=sys.stderr)
 
@@ -269,8 +268,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     trials = args.trials
     if trials < 1:
         raise _CliFailure(EXIT_PARSE, f"oracle runs need --trials >= 1, got {trials}")
-    if not 0.0 <= args.tol < np.inf:
-        raise _CliFailure(EXIT_PARSE, f"--tol must be a finite number >= 0, got {args.tol!r}")
+    _tolerance(args.tol, "--tol")
     if args.seed < 0:
         raise _CliFailure(EXIT_PARSE, f"--seed must be >= 0, got {args.seed}")
     rng = np.random.Generator(np.random.PCG64(args.seed))

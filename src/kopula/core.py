@@ -82,7 +82,9 @@ So only the cells limit the finish, and the bound above limits them:
   u * 2**N, which is 9.3e-10 at N = 23 and 1.9e-9 at N = 24, so there a
   valid table may raise.  The independence table at p = 0.99 and N = 24
   reaches -8.8e-11, and zeroing its dust adds 7.2e-7, so the finish
-  moves its largest cell (0.79) by 5.7e-7, not by float dust.
+  moves its largest cell (0.79) by 5.7e-7, not by float dust.  The dust
+  belongs to the input, not to the inversion order: each such cell is the
+  exact alternating sum of its float entries, whatever the order or fold.
 
 The sampler (``sampling``) inverts a sequential ``np.cumsum``: each step
 rounds once, by at most u * cdf[i], so the law it draws from is within
@@ -300,28 +302,28 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def clean_unit_interval(
-    values, name: Callable[[int], str], missing_ok: bool = False
+    values, name: Callable[[int], str], missing_ok: bool = False, low: float = 0.0
 ) -> np.ndarray:
-    """Float64 copy of ``values`` with dust within 1e-12 of [0, 1] snapped onto it.
+    """Float64 copy of ``values`` with dust within 1e-12 of [low, 1] snapped onto it.
 
-    Anything further out raises a ParameterRangeError for the first
-    offender, named by ``name(index)``; so does NaN, unless
-    ``missing_ok`` (then NaN passes through as "not supplied").  Two
-    reductions decide the common case, so small inputs stay cheap.
+    ``low`` is 0 for a probability, -1 for a weight.  Anything further out
+    raises a ParameterRangeError for the first offender, named by ``name(index)``;
+    so does NaN, unless ``missing_ok`` (NaN then passes as "not supplied").  Two
+    reductions decide the common case; a value in range, -0.0 too, comes back as is.
     """
     v = np.array(values, dtype=np.float64)
-    low, high = (np.fmin, np.fmax) if missing_ok else (np.minimum, np.maximum)
-    lo = low.reduce(v, axis=None, initial=np.inf)
-    hi = high.reduce(v, axis=None, initial=-np.inf)
-    if not (lo > -_UNIT_SNAP and hi < 1.0 + _UNIT_SNAP):
-        bad = ~((v > -_UNIT_SNAP) & (v < 1.0 + _UNIT_SNAP))
+    least, most = (np.fmin, np.fmax) if missing_ok else (np.minimum, np.maximum)
+    lo = least.reduce(v, axis=None, initial=np.inf)
+    hi = most.reduce(v, axis=None, initial=-np.inf)
+    if not (lo > low - _UNIT_SNAP and hi < 1.0 + _UNIT_SNAP):
+        bad = ~((v > low - _UNIT_SNAP) & (v < 1.0 + _UNIT_SNAP))
         if missing_ok:
             bad &= ~np.isnan(v)
         if bad.any():
             k = int(np.argmax(bad))
-            raise ParameterRangeError(f"{name(k)} = {float(v.flat[k])!r} outside [0, 1]")
-    if lo < 0.0 or hi > 1.0:
-        np.clip(v, 0.0, 1.0, out=v)
+            raise ParameterRangeError(f"{name(k)} = {float(v.flat[k])!r} outside [{low:g}, 1]")
+    if lo < low or hi > 1.0:
+        np.clip(v, low, 1.0, out=v)
     return v
 
 

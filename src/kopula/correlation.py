@@ -197,7 +197,8 @@ def params_from_kor3(
 ) -> FrameParams:
     """Three-event frame parameters from four correlation coordinates.
 
-    ``p`` must be ordered half-rare (largest first); event 0 frames.
+    ``p`` must be half-rare, in the order ``half_rare_projection`` sorts (decreasing,
+    ties within VALUE_ATOL by index); event 0 frames.
     kor_xy and kor_xz fix the two frame pair values through their plain
     windows; kor_in and kor_out fix the two triple values through the
     windows those pairs induce.  ``modification`` chooses how a triple

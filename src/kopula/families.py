@@ -77,6 +77,7 @@ from .core import (
     _UNIT_SNAP,
     _finish_epd1,
     _is_int,
+    clean_unit_interval,
 )
 
 __all__ = [
@@ -307,6 +308,11 @@ _CHECK_RESOLUTION = 9
 _CHECK_TOL = 1e-8
 
 
+def _tolerance(tol, name: str) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ParameterRangeError(f"{name} must be a finite number >= 0, got {tol!r}")
+
+
 def verify_one_function(
     k: KopulaFamily, grid_resolution: int = _CHECK_RESOLUTION, tol: float = _CHECK_TOL
 ) -> OneFunctionReport:
@@ -320,8 +326,7 @@ def verify_one_function(
     first NaN found is the worst of every kind, so it fails the report.
     """
     grid_resolution = _grid_resolution(grid_resolution)
-    if not 0.0 <= tol < np.inf:
-        raise ParameterRangeError(f"tol must be a finite number >= 0, got {tol!r}")
+    _tolerance(tol, "tol")
     n = k.context.n_events
     masks = np.arange(1 << n)
     bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, 2**n): X holds event k
@@ -498,8 +503,7 @@ def convex_combination(
     w = tuple(float(v) for v in weights)
     if not all(np.isfinite(w)):
         raise ParameterRangeError(f"mixture weights must be finite, got {list(w)}")
-    if min(w) < -_UNIT_SNAP:
-        raise ParameterRangeError(f"negative mixture weight {min(w)}")
+    w = tuple(clean_unit_interval(w, "mixture weight {}".format).tolist())
     if abs(sum(w) - 1.0) > _UNIT_SNAP:
         raise ParameterRangeError(f"mixture weights sum to {sum(w)!r}, not 1")
     parts = tuple(ks)
@@ -516,10 +520,7 @@ def convex_combination(
 
 
 def constant_weight(value: float) -> WeightFn:
-    v = float(value)
-    if not -1.0 <= v <= 1.0:
-        raise ParameterRangeError(f"weight {v} outside [-1, 1]")
-    return v
+    return float(clean_unit_interval(float(value), "weight".format, low=-1.0))
 
 
 def sine_diff_weight(scale: float = 15.0) -> WeightFn:
@@ -536,10 +537,8 @@ def sine_diff_weight(scale: float = 15.0) -> WeightFn:
 
 def _weight_array(alpha: WeightFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arr = np.broadcast_to(np.asarray(alpha(a, b), dtype=np.float64), a.shape)
-    worst = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if worst > 1.0 + _UNIT_SNAP:
-        raise ParameterRangeError(f"weight function left [-1, 1]: max magnitude {worst}")
-    return np.clip(arr, -1.0, 1.0)
+    at = "weight function at (a, b) = ({:.6g}, {:.6g}): alpha".format
+    return clean_unit_interval(arr, lambda i: at(a.flat[i], b.flat[i]), low=-1.0)
 
 
 def convex_updown_2kopula(alpha: WeightFn) -> KopulaFamily:
@@ -557,7 +556,7 @@ def convex_updown_2kopula(alpha: WeightFn) -> KopulaFamily:
         return 0.5 * (1.0 - al) * lower + 0.5 * (1.0 + al) * upper
 
     label = "convex_updown" if const is None else f"convex_updown({const:g})"
-    return parametric_2kopula(f, label, params={"alpha": alpha})
+    return parametric_2kopula(f, label, params={"alpha": alpha if const is None else const})
 
 
 def conjugated_2kopula(alpha: WeightFn) -> KopulaFamily:
@@ -576,7 +575,7 @@ def conjugated_2kopula(alpha: WeightFn) -> KopulaFamily:
         return np.where(al <= 0.0, down, up)
 
     label = "conjugated" if const is None else f"conjugated({const:g})"
-    return parametric_2kopula(f, label, params={"alpha": alpha})
+    return parametric_2kopula(f, label, params={"alpha": alpha if const is None else const})
 
 
 def quarter_sum_2(context: EventSetContext | None = None) -> KopulaFamily:

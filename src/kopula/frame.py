@@ -73,7 +73,7 @@ from .core import (
     clean_unit_interval,
     mask_bits,
 )
-from .phenomena import half_rare_projection, transpose_events
+from .phenomena import _rank_folded, half_rare_projection, transpose_events
 
 __all__ = [
     "PseudoDistribution",
@@ -134,8 +134,7 @@ class PseudoDistribution(_Table):
     @classmethod
     def from_own_epd(cls, epd: Epd1, cell_mass: float) -> "PseudoDistribution":
         """Inverse of ``own_epd`` for a cell of the given probability."""
-        if not 0.0 <= cell_mass <= 1.0:
-            raise ParameterRangeError(f"cell mass {cell_mass} outside [0, 1]")
+        cell_mass = float(clean_unit_interval(cell_mass, "cell mass".format))
         v = epd.values.copy()
         v[0] -= 1.0 - cell_mass
         return cls._adopt(epd.context, v)
@@ -181,12 +180,11 @@ def conditional_epd(
 
 def pseudo_from_conditional(cond: Epd1, frame_prob: float) -> PseudoDistribution:
     """Scale a conditional table back into a joint slice."""
-    if not 0.0 <= frame_prob <= 1.0:
-        raise ParameterRangeError(f"frame probability {frame_prob} outside [0, 1]")
+    frame_prob = float(clean_unit_interval(frame_prob, "frame probability".format))
     if frame_prob == 0.0:
         # the inverse map is undefined on a massless slice
         raise ConditioningError("frame probability is zero")
-    return PseudoDistribution._adopt(cond.context, cond.values * float(frame_prob))
+    return PseudoDistribution._adopt(cond.context, cond.values * frame_prob)
 
 
 def conditional_from_pseudo(pseudo: PseudoDistribution) -> Epd1:
@@ -577,7 +575,7 @@ def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> tuple[float,
         raise ParameterRangeError(
             f"{who} needs half-rare marginals (all <= 1/2); project the point first"
         )
-    if not p.is_nonincreasing():
+    if _rank_folded(p.probs) != tuple(range(n)):
         raise ParameterRangeError(f"{who} needs marginals in nonincreasing order, got {p.probs}")
     return p.probs
 
@@ -585,9 +583,9 @@ def _require_ordered_half_rare(p: MarginalSet, n: int, who: str) -> tuple[float,
 def triplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
     """Three-event table for ordered half-rare marginals.
 
-    Bits are x = 0, y = 1, z = 2 with p_x >= p_y >= p_z; the eight
-    cells are the Möbius inverse of the four parameters and the
-    marginals.  ``policy`` is as for ``build_nset_epd``.
+    Bits x = 0, y = 1, z = 2 follow ``half_rare_projection``'s order (decreasing,
+    ties within VALUE_ATOL by index); the eight cells are the Möbius inverse of
+    the four parameters and the marginals.  ``policy`` is as for ``build_nset_epd``.
     """
     probs = _require_ordered_half_rare(p, 3, "triplet_epd")
     return _build(p.context, params, probs, policy, "triplet_epd")
@@ -596,9 +594,9 @@ def triplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> E
 def quadruplet_epd(p: MarginalSet, params: FrameParams, policy: str = "raise") -> Epd1:
     """Four-event table for ordered half-rare marginals.
 
-    Bits are x = 0, y = 1, z = 2, v = 3 with nonincreasing marginals;
-    the sixteen cells are the Möbius inverse of the eleven parameters
-    and the marginals.  ``policy`` is as for ``build_nset_epd``.
+    Bits x = 0, y = 1, z = 2, v = 3 follow ``half_rare_projection``'s order (decreasing,
+    ties within VALUE_ATOL by index); the sixteen cells are the Möbius inverse of the
+    eleven parameters and the marginals.  ``policy`` is as for ``build_nset_epd``.
     """
     probs = _require_ordered_half_rare(p, 4, "quadruplet_epd")
     return _build(p.context, params, probs, policy, "quadruplet_epd")

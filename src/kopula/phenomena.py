@@ -110,17 +110,18 @@ def _rank_folded(probs: tuple[float, ...]) -> tuple[int, ...]:
     # Coordinates within VALUE_ATOL of the current run leader count as
     # tied and fall back to index order; folding computes 1 - p, whose
     # rounding would otherwise split ties like 1 - 0.9 vs 0.1.
-    by_value = sorted(range(len(probs)), key=lambda k: (-probs[k], k))
-    order: list[int] = []
-    i = 0
-    while i < len(by_value):
-        head = probs[by_value[i]]
-        j = i
-        while j < len(by_value) and head - probs[by_value[j]] <= VALUE_ATOL:
-            j += 1
-        order.extend(sorted(by_value[i:j]))
-        i = j
-    return tuple(order)
+    runs: list[list[int]] = []
+    for k in sorted(range(len(probs)), key=probs.__getitem__, reverse=True):  # ties by index
+        if runs and probs[runs[-1][0]] - probs[k] <= VALUE_ATOL:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return tuple(k for run in runs for k in sorted(run))
+
+
+def _half_rare_keep(w: np.ndarray) -> np.ndarray:
+    """The keep mask of each point on the last axis of the array ``w``: its events at most 1/2."""
+    return (w <= 0.5) @ (1 << np.arange(w.shape[-1]))
 
 
 def half_rare_projection(m: MarginalSet) -> HalfRareProjection:
@@ -128,7 +129,7 @@ def half_rare_projection(m: MarginalSet) -> HalfRareProjection:
 
     A coordinate exactly at 1/2 is never complemented.
     """
-    keep = sum(1 << k for k, p in enumerate(m.probs) if p <= 0.5)
+    keep = int(_half_rare_keep(np.array(m.probs)))
     point = phenomenon_point(m, keep)  # all <= 1/2, so marked half-rare
     return HalfRareProjection(point=point, keep=keep, permutation=_rank_folded(point.probs))
 

@@ -84,3 +84,21 @@ def test_the_sampler_never_draws_a_cell_the_finish_set_to_zero():
     counts = np.array(ko.sample_summary(d, spec)["counts"])
     assert counts.sum() == spec.n_samples and (counts[zeroed] == 0).all()
     assert not np.isin(ko.sample_epd1(d, spec), zeroed).any()
+
+
+def test_the_dust_of_an_unfolded_table_is_in_its_input():
+    """On the independence table at p = 0.99, unfolded, each negative cell of the
+    inverse is the exact alternating sum of its float inputs, already below 0: no
+    order of inversion, folding first included, can keep it at 0."""
+    n = 12
+    t = np.ones(1)
+    for _ in range(n):
+        t = np.concatenate([t, t * 0.99])
+    raw = _superset_mobius(t, n)
+    dust = np.flatnonzero(raw < 0.0)
+    assert dust.size == 562
+    masks = np.arange(1 << n)
+    for x in dust.tolist():
+        above = masks[(masks & x) == x]
+        exact = math.fsum(np.where(np.bitwise_count(above ^ x) & 1, -t[above], t[above]).tolist())
+        assert raw[x] == exact < 0.0, x
