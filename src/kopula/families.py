@@ -206,14 +206,27 @@ def grid_points(
     ``itertools.product`` order over ``axes`` (the last one fastest),
     and a block holds about 2**16 table cells, so the (rows, 2**n) value
     blocks stay small.  Each block is column-major: a coordinate's
-    values are contiguous.
+    values are contiguous.  An event that is not an integer in [0, n),
+    a repeated axis, an event both swept and fixed, or a fixed value
+    outside [0, 1] (dust snapped) is a ParameterRangeError.
     """
     resolution = _grid_resolution(resolution)
     axes = list(range(n)) if axes is None else list(axes)
-    axis = np.linspace(0.0, 1.0, resolution)
+    fixed = dict(fixed or {})
+    for k in axes + list(fixed):
+        if not _is_int(k) or not 0 <= k < n:
+            raise ParameterRangeError(f"grid event {k!r} is not an integer in [0, {n})")
+    if len(set(axes)) != len(axes):
+        raise ParameterRangeError(f"grid axes {axes} sweep an event twice")
+    both = sorted(set(axes) & set(fixed))
+    if both:
+        raise ParameterRangeError(f"events {both} are both swept and fixed")
+    held_at = list(fixed)
     base = np.zeros(n)
-    for k, v in (fixed or {}).items():
-        base[k] = v
+    base[held_at] = clean_unit_interval(
+        list(fixed.values()), lambda i: f"fixed value for event {held_at[i]}"
+    )
+    axis = np.linspace(0.0, 1.0, resolution)
     held = [k for k in range(n) if k not in axes]
     total = resolution ** len(axes)
     step = max(1, (1 << 16) >> n)

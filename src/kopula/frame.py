@@ -133,10 +133,20 @@ class PseudoDistribution(_Table):
 
     @classmethod
     def from_own_epd(cls, epd: Epd1, cell_mass: float) -> "PseudoDistribution":
-        """Inverse of ``own_epd`` for a cell of the given probability."""
+        """Inverse of ``own_epd`` for a cell of the given probability.
+
+        The slice's empty cell is ``values[0] - (1 - cell_mass)``: below
+        -VALUE_ATOL that is a CompositionError, and dust below it is +0.0.
+        """
         cell_mass = float(clean_unit_interval(cell_mass, "cell mass".format))
         v = epd.values.copy()
-        v[0] -= 1.0 - cell_mass
+        empty = float(v[0]) - (1.0 - cell_mass)
+        if empty < -VALUE_ATOL:
+            raise CompositionError(
+                f"cell mass = {cell_mass!r} below the smallest admissible, "
+                f"1 - values[0] = {1.0 - float(v[0])!r}"
+            )
+        v[0] = empty if empty > 0.0 else 0.0
         return cls._adopt(epd.context, v)
 
 

@@ -1,9 +1,14 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately slow and obvious: plain double loops
-over subset pairs, no tensor tricks.  The fast paths in ``core``,
-``phenomena``, ``frame`` and ``serialize`` are tested against these on
-small N, and the ``oracle`` CLI subcommand cross-checks them at runtime.
+over subset pairs, no tensor tricks.  Each loop reads its table once
+(``tolist()``) and steps over Python floats and lists, so no step does
+its arithmetic on a numpy scalar; the additions and products, and their
+order, are those of the plain loops, so the results are bit for bit
+what the same loops give on numpy scalars (tests/test_oracle_digests.py
+pins them).  The fast paths in ``core``, ``phenomena``, ``frame`` and
+``serialize`` are tested against these on small N, and the ``oracle``
+CLI subcommand cross-checks them at runtime.
 """
 
 from __future__ import annotations
@@ -37,33 +42,36 @@ __all__ = [
 def naive_epd2_from_epd1(d: Epd1) -> Epd2:
     """Superset sums by direct enumeration, O(4**N)."""
     size = d.context.size
-    out = np.zeros(size)
+    v = d.values.tolist()
+    out = [0.0] * size
     for x in range(size):
-        for y in range(size):
+        for y in range(x, size):  # a superset of x is at least x
             if x & y == x:
-                out[x] += d.values[y]
+                out[x] += v[y]
     return Epd2(d.context, out)
 
 
 def naive_epd1_from_epd2(d: Epd2) -> Epd1:
     """Alternating superset sums by direct enumeration, O(4**N)."""
     size = d.context.size
-    out = np.zeros(size)
+    v = d.values.tolist()
+    out = [0.0] * size
     for x in range(size):
-        for y in range(size):
+        for y in range(x, size):
             if x & y == x:
                 sign = -1.0 if bin(y & ~x).count("1") % 2 else 1.0
-                out[x] += sign * d.values[y]
+                out[x] += sign * v[y]
     return Epd1(d.context, out)
 
 
 def naive_marginals(d: Epd1) -> MarginalSet:
     n = d.context.n_events
+    v = d.values.tolist()
     probs = [0.0] * n
     for mask in range(d.context.size):
         for k in range(n):
             if mask & (1 << k):
-                probs[k] += float(d.values[mask])
+                probs[k] += v[mask]
     return MarginalSet.from_values(d.context, probs)
 
 
@@ -75,7 +83,8 @@ def naive_renumber(d: Epd1, keep: int) -> Epd1:
     """
     n = d.context.n_events
     size = d.context.size
-    out = np.zeros(size)
+    v = d.values.tolist()
+    out = [0.0] * size
     for t in range(size):
         s = 0
         for k in range(n):
@@ -87,45 +96,43 @@ def naive_renumber(d: Epd1, keep: int) -> Epd1:
                 s_has = not t_has
             if s_has:
                 s |= bit
-        out[t] = d.values[s]
+        out[t] = v[s]
     return Epd1(d.context, out)
 
 
 def product_epd1(context: EventSetContext, probs) -> Epd1:
     """Exact-pattern table of fully independent events."""
-    size = context.size
-    out = np.empty(size)
-    for mask in range(size):
+    p = [float(probs[k]) for k in range(context.n_events)]
+    out = [0.0] * context.size
+    for mask in range(context.size):
         v = 1.0
-        for k in range(context.n_events):
-            p = float(probs[k])
-            v *= p if mask & (1 << k) else 1.0 - p
+        for k, pk in enumerate(p):
+            v *= pk if mask & (1 << k) else 1.0 - pk
         out[mask] = v
     return Epd1(context, out)
 
 
-def _compose(t: np.ndarray) -> np.ndarray:
-    size = t.shape[0]
+def _compose(t: list[float]) -> list[float]:
+    size = len(t)
     if size == 2:
-        return np.array([1.0 - t[1], t[1]])
+        return [1.0 - t[1], t[1]]
     n = size.bit_length() - 1
-    marg = t[1 << np.arange(n)]
-    f = int(np.argmax(marg))
-    p0 = float(marg[f])
-    bit = 1 << f
-    masks = np.arange(size)
-    full = masks[(masks & bit) == 0]
-    t_in = t[full | bit].copy()
-    t_out = t[full] - t_in
+    marg = [t[1 << k] for k in range(n)]
+    p0 = max(marg)
+    bit = 1 << marg.index(p0)  # the first largest
+    full = [m for m in range(size) if not m & bit]
+    t_in = [t[m | bit] for m in full]
+    t_out = [t[m] - a for m, a in zip(full, t_in)]
     t_in[0] = 1.0
     t_out[0] = 1.0
     q_in = _compose(t_in)
     q_out = _compose(t_out)
     q_in[0] -= 1.0 - p0
     q_out[0] -= p0
-    out = np.empty(size)
-    out[full | bit] = q_in
-    out[full] = q_out
+    out = [0.0] * size
+    for m, a, b in zip(full, q_in, q_out):
+        out[m | bit] = a
+        out[m] = b
     return out
 
 
@@ -137,7 +144,7 @@ def recursive_frame_epd1(d: Epd2) -> Epd1:
     their own, rebuilt the same way, and interleaved back.  Nothing is
     checked: an infeasible table comes back with negative cells.
     """
-    return Epd1(d.context, _compose(np.asarray(d.values, dtype=np.float64)))
+    return Epd1(d.context, _compose(d.values.tolist()))
 
 
 def _fit_value(value: float, iv: FrechetInterval, what: str, policy: str) -> float:
@@ -235,5 +242,5 @@ def reference_dump_json(obj) -> str:
 def naive_epd_csv(d: Epd1 | Epd2, fp: IO[str]) -> None:
     """CSV export one row at a time, each subset named by ``mask_label``."""
     fp.write("mask,subset_labels,value\n")
-    for mask in range(d.context.size):
-        fp.write(f"{mask},{d.context.mask_label(mask)},{float(d.values[mask])!r}\n")
+    for mask, value in enumerate(d.values.tolist()):
+        fp.write(f"{mask},{d.context.mask_label(mask)},{value!r}\n")

@@ -72,6 +72,7 @@ def test_clean_unit_interval_is_the_plain_rule(low, missing_ok, data):
 
 PAIR_A, PAIR_B = np.array([[0.1, 0.25]]), np.array([[0.2, 0.4]])
 SLICE = ko.Epd1(ko.EventSetContext(2), [0.4, 0.3, 0.2, 0.1])
+FULL_EMPTY_CELL = ko.Epd1(ko.EventSetContext(2), [1.0, 0.0, 0.0, 0.0])  # admits any cell mass
 
 
 def mixture_weights(x):
@@ -96,6 +97,11 @@ CHECKS = {
     "cell mass": (
         0.0,
         lambda x: ko.PseudoDistribution.from_own_epd(SLICE, x).values,
+        "cell mass = ",
+    ),
+    "cell mass, all in the empty cell": (
+        0.0,
+        lambda x: ko.PseudoDistribution.from_own_epd(FULL_EMPTY_CELL, x).values,
         "cell mass = ",
     ),
     "frame probability": (

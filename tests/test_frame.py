@@ -86,6 +86,20 @@ class TestPseudoDistribution:
         back = ko.PseudoDistribution.from_own_epd(own, 0.3)
         np.testing.assert_allclose(back.values, pseudo.values, atol=1e-15)
 
+    def test_a_cell_mass_below_one_minus_the_empty_cell_is_rejected(self):
+        own = ko.Epd1(ko.EventSetContext(2), [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ko.CompositionError) as caught:
+            ko.PseudoDistribution.from_own_epd(own, 0.0)
+        assert str(caught.value) == (
+            "cell mass = 0.0 below the smallest admissible, 1 - values[0] = 0.6"
+        )
+
+    def test_an_empty_cell_of_dust_below_zero_is_plus_zero(self):
+        own = ko.Epd1(ko.EventSetContext(2), [0.4, 0.3, 0.2, 0.1])
+        back = ko.PseudoDistribution.from_own_epd(own, 0.6 - 1e-10)
+        assert back.values.tolist() == [0.0, 0.3, 0.2, 0.1]
+        assert not np.signbit(back.values[0])
+
 
 class TestFrameSplitCompose:
     def test_split_frozen(self, ctx2):

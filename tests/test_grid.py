@@ -319,3 +319,26 @@ def test_a_grid_that_fails_part_way_keeps_its_exit_code_and_the_rows_written(
     assert code == 1 and err == ["w_0 past 0.9"]
     rows, _ = pointwise_grid(indep, 9, tuple(range(4)), {})
     assert lines == [header(4)] + rows[:4096]  # the first block of 4,096 rows, w_0 <= 0.875
+
+
+@pytest.mark.parametrize(
+    "axes, fixed, text",
+    [
+        ([0], {5: 0.5}, "grid event 5 is not an integer in [0, 2)"),
+        ([0, 7], None, "grid event 7 is not an integer in [0, 2)"),
+        ([0], {1: 1.5}, "fixed value for event 1 = 1.5 outside [0, 1]"),
+        ([0, 0], None, "grid axes [0, 0] sweep an event twice"),
+        ([0], {0: 0.5}, "events [0] are both swept and fixed"),
+    ],
+    ids=["fixed_out_of_range", "axis_out_of_range", "fixed_value_above_one",
+         "repeated_axis", "swept_and_fixed"],
+)
+def test_grid_points_checks_its_events_and_fixed_values(axes, fixed, text):
+    with pytest.raises(ko.ParameterRangeError) as caught:
+        list(ko.grid_points(2, 3, axes, fixed))
+    assert str(caught.value) == text
+
+
+def test_grid_points_snaps_a_fixed_value_of_dust():
+    (block,) = ko.grid_points(2, 3, [0], {1: 1.0 + 1e-13})
+    assert block[:, 1].tolist() == [1.0, 1.0, 1.0]
