@@ -39,6 +39,7 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
+    _tolerance,
     clean_unit_interval,
     epd1_from_epd2,
     epd2_from_epd1,
@@ -49,7 +50,6 @@ from .families import (
     _CHECK_RESOLUTION,
     _CHECK_TOL,
     _grid_resolution,
-    _tolerance,
     epd_from_kopula,
     epd_rows_from_kopula,
     grid_points,

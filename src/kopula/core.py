@@ -32,6 +32,13 @@ Conventions used across the package:
   flat float64 values, finite and frozen (non-writeable) once stored;
   constructors copy their input, builders adopt the array they made (``_adopt``),
 * contexts cap N at 24 so masks stay cheap and arrays addressable,
+* every number, count and tolerance a caller hands the library is read
+  by the readers here (``_read_number`` and the rest), which
+  ``serialize`` binds to ``ConfigError`` for the fields of a config: a
+  number is a Python or numpy int or float, never a bool or a string
+  such as "0.5"; a count is an int, never a bool; a label is a str.  A
+  value that breaks the rule raises the class the call raises for a bad
+  value,
 * each kind of tolerance is one constant here: ``SUM_ATOL`` = 1e-9 for
   total mass (a table, a slice); ``VALUE_ATOL`` = 1e-9 for one value (a
   cell below 0, a value outside its window, an inverted window);
@@ -97,6 +104,8 @@ and Smets, "Computational aspects of the Mobius transformation" (UAI
 
 from __future__ import annotations
 
+import contextlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -185,12 +194,96 @@ class UndefinedCorrelationError(KopulaError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# contexts and subsets
+# the readers, one per rule (see the module conventions); each raises the
+# error class its caller names
 
 
 def _is_int(value) -> bool:
     """The one rule for a count: a Python or numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real_type(t: type) -> bool:
+    """The one rule for a real: a Python or numpy integer or float, and not a bool (nor a
+    numeric string)."""
+    return t is float or (issubclass(t, (int, np.integer, np.floating)) and t is not bool)
+
+
+def _all_numbers(values) -> bool:
+    """The rule over every item: one C pass over the items, then one check per distinct type."""
+    return all(map(_is_real_type, set(map(type, values))))
+
+
+def _is_number(value) -> bool:
+    """The rule for one value, so the two cannot drift apart."""
+    return _is_real_type(type(value))
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or its type for an integer past Python's digit limit for text,
+    in a list or not."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
+def _read_number(value, what: str, error: type) -> float:
+    """A real (see ``_is_real_type``) within float range, as a float; else ``error``."""
+    if type(value) is float:  # the common case, without the rule's calls
+        return value
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise error(f"{what} must be a number, got {_shown(value)}")
+
+
+def _read_int(value, what: str, error: type) -> int:
+    """A count (see ``_is_int``) as an int; else ``error``."""
+    if _is_int(value):
+        return int(value)
+    raise error(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _read_items(values: list | tuple | np.ndarray, name: Callable[[int], str], error: type,
+                copy: bool = True) -> np.ndarray:
+    """A float64 array of a list, tuple or array of reals, item k named ``name(k)``.
+
+    An integer or float array is read by its dtype, and ``copy=False`` hands
+    back a float64 one itself; a list or tuple is converted in one pass once
+    ``_all_numbers`` holds.  Any other array is read as the list of its
+    items, so the first item that is not a real raises ``error``.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iuf":
+            return (np.array if copy else np.asarray)(values, dtype=np.float64)
+        values = values.ravel().tolist()
+    if _all_numbers(values):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            return np.array(values, dtype=np.float64)
+    # some item is not a real, or an integer beyond float range: the first one raises
+    return np.array([_read_number(v, name(k), error) for k, v in enumerate(values)])
+
+
+def _read_numbers(values, what: str, error: type, copy: bool = True) -> np.ndarray:
+    """``_read_items`` of a list, tuple or array, item k named ``what[k]``; anything else
+    raises ``error``."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise error(f"{what} must be a list of numbers, got {type(values).__name__}")
+    return _read_items(values, f"{what}[{{}}]".format, error, copy)
+
+
+def _tolerance(tol, what: str) -> float:
+    """A tolerance: a finite real >= 0, as a float; else a ParameterRangeError."""
+    if _is_number(tol) and 0.0 <= tol <= sys.float_info.max:  # NaN, inf and 10**400 fail
+        return float(tol)
+    raise ParameterRangeError(f"{what} must be a finite number >= 0, got {_shown(tol)}")
+
+
+# ---------------------------------------------------------------------------
+# contexts and subsets
 
 
 def _clip(text: str) -> str:
@@ -213,10 +306,15 @@ class EventSetContext:
     def __post_init__(self) -> None:
         if not _is_int(self.n_events) or not 1 <= self.n_events <= MAX_EVENTS:
             raise ContextError(
-                f"n_events must be an integer in [1, {MAX_EVENTS}], got {self.n_events!r}"
+                f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(self.n_events)}"
             )
         object.__setattr__(self, "n_events", int(self.n_events))
-        labels = tuple(self.labels)
+        try:
+            labels = tuple(self.labels)
+        except TypeError:  # not iterable
+            raise ContextError(
+                f"labels must be a list of strings, got {_shown(self.labels)}"
+            ) from None
         if not labels:
             labels = tuple(f"x{k}" for k in range(self.n_events))
         if len(labels) != self.n_events:
@@ -224,8 +322,8 @@ class EventSetContext:
                 f"expected {self.n_events} labels, got {len(labels)}"
             )
         for lab in labels:
-            if not lab or _LABEL_FORBIDDEN.intersection(lab):
-                raise ContextError(f"bad event label {lab!r}")
+            if not isinstance(lab, str) or not lab or _LABEL_FORBIDDEN.intersection(lab):
+                raise ContextError(f"bad event label {_shown(lab)}")
         if len(set(labels)) != len(labels):
             raise ContextError("event labels must be unique")
         object.__setattr__(self, "labels", labels)
@@ -247,8 +345,8 @@ class EventSetContext:
         try:
             return self._label_index[label]
         except (KeyError, TypeError):
-            shown = _clip(label) if isinstance(label, str) else label
-            raise ContextError(f"unknown event label {shown!r}") from None
+            shown = repr(_clip(label)) if isinstance(label, str) else _shown(label)
+            raise ContextError(f"unknown event label {shown}") from None
 
     def mask_label(self, mask: int) -> str:
         """Human-readable subset name, '&'-joined; empty string for the empty set."""
@@ -256,6 +354,8 @@ class EventSetContext:
         return "&".join(self.labels[k] for k in mask_bits(mask))
 
     def mask_from_label(self, text: str) -> int:
+        if not isinstance(text, str):
+            raise ContextError(f"a subset label must be a string, got {_shown(text)}")
         mask = 0
         text = text.strip()
         if not text:
@@ -269,7 +369,9 @@ class EventSetContext:
 
     def check_mask(self, mask: int) -> int:
         if not _is_int(mask) or not 0 <= mask <= self.full_mask:
-            raise ContextError(f"subset index {mask!r} out of range for {self.n_events} events")
+            raise ContextError(
+                f"subset index {_shown(mask)} out of range for {self.n_events} events"
+            )
         return int(mask)
 
     def require_same(self, other: "EventSetContext", what: str) -> None:
@@ -277,10 +379,20 @@ class EventSetContext:
             raise ContextError(f"{what}: contexts differ ({self.labels} vs {other.labels})")
 
 
+def _subset_mask(mask) -> int:
+    """A subset mask: a nonnegative count (a negative one has bits without end); else a
+    ContextError."""
+    if not _is_int(mask) or mask < 0:
+        raise ContextError(f"subset mask must be a nonnegative integer, got {_shown(mask)}")
+    return int(mask)
+
+
 def mask_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    if mask < 0:  # its bits never run out
-        raise ContextError(f"subset mask must be nonnegative, got {mask!r}")
+    """Indices of the set bits of ``mask``, ascending; the mask is checked at the call."""
+    return _bits(_subset_mask(mask))
+
+
+def _bits(mask: int) -> Iterator[int]:
     k = 0
     while mask:
         if mask & 1:
@@ -290,9 +402,11 @@ def mask_bits(mask: int) -> Iterator[int]:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """All subsets of ``mask`` including 0 and ``mask`` itself."""
-    if mask < 0:  # (sub - 1) & mask never reaches 0
-        raise ContextError(f"subset mask must be nonnegative, got {mask!r}")
+    """All subsets of ``mask`` including 0 and ``mask`` itself; the mask is checked at the call."""
+    return _submasks(_subset_mask(mask))
+
+
+def _submasks(mask: int) -> Iterator[int]:
     sub = mask
     while True:
         yield sub
@@ -306,12 +420,18 @@ def clean_unit_interval(
 ) -> np.ndarray:
     """Float64 copy of ``values`` with dust within 1e-12 of [low, 1] snapped onto it.
 
+    ``values`` is one real, or a list, tuple or array of them, read by the
+    rule of ``_read_items``; anything else is one value that is not a real.
     ``low`` is 0 for a probability, -1 for a weight.  Anything further out
     raises a ParameterRangeError for the first offender, named by ``name(index)``;
-    so does NaN, unless ``missing_ok`` (NaN then passes as "not supplied").  Two
-    reductions decide the common case; a value in range, -0.0 too, comes back as is.
+    so does NaN, unless ``missing_ok`` (NaN then passes as "not supplied"), and
+    so does an item that is not a real.  Two reductions decide the common case;
+    a value in range, -0.0 too, comes back as is.
     """
-    v = np.array(values, dtype=np.float64)
+    if isinstance(values, (list, tuple, np.ndarray)):
+        v = _read_items(values, name, ParameterRangeError)
+    else:
+        v = np.array(_read_number(values, name(0), ParameterRangeError))
     least, most = (np.fmin, np.fmax) if missing_ok else (np.minimum, np.maximum)
     lo = least.reduce(v, axis=None, initial=np.inf)
     hi = most.reduce(v, axis=None, initial=-np.inf)
@@ -340,9 +460,12 @@ class MarginalSet:
     half_rare: bool = False
 
     def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
+        probs = self.probs
+        if not (isinstance(probs, (tuple, list)) and _all_numbers(probs)):  # anything else
+            probs = _read_numbers(probs, "marginal", ParameterRangeError).ravel().tolist()
         if not all(0.0 <= p <= 1.0 for p in probs):  # only these need the cleaner
-            probs = tuple(clean_unit_interval(probs, "marginal[{}]".format).tolist())
+            probs = clean_unit_interval(probs, "marginal[{}]".format).tolist()
+        probs = tuple(map(float, probs))
         if len(probs) != self.context.n_events:
             raise ContextError(
                 f"expected {self.context.n_events} marginals, got {len(probs)}"
@@ -357,10 +480,10 @@ class MarginalSet:
     def from_values(
         cls, context: EventSetContext, values, half_rare: bool | None = None
     ) -> "MarginalSet":
-        probs = tuple(float(v) for v in values)
-        if half_rare is None:
-            half_rare = all(v <= 0.5 for v in probs)
-        return cls(context, probs, half_rare)
+        m = cls(context, values, half_rare or False)
+        if half_rare is None and all(v <= 0.5 for v in m.probs):  # a fresh instance: set the flag
+            object.__setattr__(m, "half_rare", True)
+        return m
 
     def is_nonincreasing(self) -> bool:
         return all(a >= b for a, b in zip(self.probs, self.probs[1:]))
@@ -381,7 +504,10 @@ class _Table:
 
     def __post_init__(self, fresh: np.ndarray | None = None) -> None:
         """Copy ``values`` (or take ``_adopt``'s ``fresh`` array), check it, flatten, freeze."""
-        arr = np.array(self.values, dtype=np.float64) if fresh is None else fresh
+        if fresh is None:
+            arr = _read_numbers(self.values, "values", InvalidDistributionError)
+        else:
+            arr = fresh
         if arr.size != self.context.size:
             raise self._size_error(f"expected {self.context.size} values, got shape {arr.shape}")
         # one quiet sum: only a non-finite value or an overflow makes it non-finite
@@ -536,8 +662,10 @@ def marginals(d: Epd1 | Epd2) -> MarginalSet:
 def covariance_pair(d: Epd1 | Epd2, i: int, j: int) -> float:
     """P(both i and j) - P(i)P(j) for two distinct events."""
     n = d.n_events
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ContextError(f"need two distinct event indices in [0, {n}), got {i}, {j}")
+    if not (_is_int(i) and _is_int(j)) or i == j or not (0 <= i < n and 0 <= j < n):
+        raise ContextError(
+            f"need two distinct event indices in [0, {n}), got {_shown(i)}, {_shown(j)}"
+        )
     if isinstance(d, Epd2):
         p_i, p_j, p_ij = d.values[1 << i], d.values[1 << j], d.values[1 << i | 1 << j]
     else:
@@ -688,6 +816,7 @@ class Epd2Report:
 
 def validate_epd1(d: Epd1, tol: float = SUM_ATOL) -> Epd1Report:
     """Check nonnegativity (within tol) and unit total mass (within tol)."""
+    tol = _tolerance(tol, "tol")
     values = d.values
     worst = int(np.argmin(values))
     return Epd1Report(
@@ -706,6 +835,7 @@ def validate_epd2(d: Epd2, tol: float = SUM_ATOL) -> Epd2Report:
     Monotonicity along single-bit extensions implies it for arbitrary
     subset pairs, so only N * 2**(N-1) comparisons are made.
     """
+    tol = _tolerance(tol, "tol")
     values = d.values
     return Epd2Report(
         context=d.context,

@@ -33,6 +33,9 @@ from .core import (
     VALUE_ATOL,
     _COV_EPS,
     _UNIT_SNAP,
+    _is_int,
+    _read_number,
+    _shown,
     clean_unit_interval,
 )
 from .frame import FrameParams, FrechetInterval, _require_ordered_half_rare, frechet_bounds
@@ -64,9 +67,9 @@ def _unit_pair(a: float, b: float, names: tuple[str, str]) -> list[float]:
 
 
 def _check_kor(kor: float) -> float:
-    k = float(kor)
+    k = _read_number(kor, "correlation", ParameterRangeError)
     if not abs(k) <= 1.0 + _UNIT_SNAP:  # NaN fails too
-        raise ParameterRangeError(f"correlation {kor!r} outside [-1, 1]")
+        raise ParameterRangeError(f"correlation {k!r} outside [-1, 1]")
     return min(1.0, max(-1.0, k))
 
 
@@ -78,6 +81,7 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     window side has no room.
     """
     p_x, p_y = _unit_pair(p_x, p_y, ("p_x", "p_y"))
+    p_xy = _read_number(p_xy, "p_xy", ParameterRangeError)
     if p_xy != p_xy:  # NaN: no window contains it, but it is not infeasible either
         raise ParameterRangeError(f"p_xy = {p_xy!r} is not a number")
     window = frechet_bounds({}, 0b1, p_y, p_x)
@@ -88,7 +92,7 @@ def kor2(p_x: float, p_y: float, p_xy: float) -> float:
     prod = p_x * p_y
     # covariance from the raw value: clamping into a collapsed window
     # would inject one-ulp dust and turn a zero covariance into kor 1
-    kov = float(p_xy) - prod
+    kov = p_xy - prod
     if abs(kov) <= _COV_EPS:
         return 0.0
     if kov < 0.0:
@@ -138,7 +142,7 @@ def _triple_setting(
         facets = {0b01: py - pair_xy, 0b10: pz - pair_xz}
     else:
         raise ParameterRangeError(
-            f"mode must be 'frame' or 'complement', got {mode!r}"
+            f"mode must be 'frame' or 'complement', got {_shown(mode)}"
         )
     return mass * py * pz, frechet_bounds(facets, 0b11, None, mass)
 
@@ -204,8 +208,8 @@ def params_from_kor3(
     windows those pairs induce.  ``modification`` chooses how a triple
     baseline outside its window is handled (see the module docstring).
     """
-    if modification not in (1, 2):
-        raise ParameterRangeError(f"modification must be 1 or 2, got {modification}")
+    if not _is_int(modification) or modification not in (1, 2):
+        raise ParameterRangeError(f"modification must be 1 or 2, got {_shown(modification)}")
     px, py, pz = _require_ordered_half_rare(p, 3, "params_from_kor3")
     # the marginals are clean already, and the pair values land in their windows
     a1 = _pair_value(px, py, kor_xy)

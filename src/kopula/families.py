@@ -70,6 +70,7 @@ from .core import (
     Epd1,
     EventSetContext,
     InfeasibleParameterError,
+    MAX_EVENTS,
     MarginalSet,
     ParameterRangeError,
     SUM_ATOL,
@@ -77,6 +78,10 @@ from .core import (
     _UNIT_SNAP,
     _finish_epd1,
     _is_int,
+    _read_number,
+    _read_numbers,
+    _shown,
+    _tolerance,
     clean_unit_interval,
 )
 
@@ -131,7 +136,7 @@ class KopulaFamily:
     def __call__(self, w, masks) -> np.ndarray:
         return np.asarray(
             self.base(
-                np.asarray(w, dtype=np.float64),
+                _read_numbers(w, "w", ParameterRangeError, copy=False),
                 np.asarray(masks, dtype=np.int64),
             ),
             dtype=np.float64,
@@ -161,9 +166,18 @@ def epd_rows_from_kopula(
     1 by more than SUM_ATOL (a NaN or +inf cell among them), or every row
     of a block whose pair function left its band, goes through
     ``epd_from_kopula`` again.  A row that is infeasible there comes back
-    as NaN, and its error is listed with the row index.  The block is copied only when a row is redone, so the
-    family's array is never written into.
+    as NaN, and its error is listed with the row index.  The block is
+    copied only when a row is redone, so the family's array is never
+    written into.  A ``w`` that is not a (rows, n) array of reals in
+    [0, 1] (dust within 1e-12 passes as it is) is a ParameterRangeError.
     """
+    w = _read_numbers(w, "w", ParameterRangeError, copy=False)
+    if w.ndim != 2 or w.shape[1] != k.context.n_events:
+        raise ParameterRangeError(
+            f"expected points of shape (rows, {k.context.n_events}), got shape {w.shape}"
+        )
+    if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails too
+        clean_unit_interval(w, lambda i: f"w[{i // w.shape[1]}, {i % w.shape[1]}]")
     masks = np.arange(k.context.size)
     try:
         values = k(w[None, :, :], masks[:, None]).T  # cells-outer, see the module docstring
@@ -188,7 +202,9 @@ def epd_rows_from_kopula(
 def _grid_resolution(res) -> int:
     """The points per grid axis: an integer in [2, 2**20], else a ParameterRangeError."""
     if not _is_int(res) or not 2 <= res <= 1 << 20:
-        raise ParameterRangeError(f"grid resolution must be an integer in [2, 2**20], got {res!r}")
+        raise ParameterRangeError(
+            f"grid resolution must be an integer in [2, 2**20], got {_shown(res)}"
+        )
     return int(res)
 
 
@@ -206,16 +222,31 @@ def grid_points(
     ``itertools.product`` order over ``axes`` (the last one fastest),
     and a block holds about 2**16 table cells, so the (rows, 2**n) value
     blocks stay small.  Each block is column-major: a coordinate's
-    values are contiguous.  An event that is not an integer in [0, n),
-    a repeated axis, an event both swept and fixed, or a fixed value
-    outside [0, 1] (dust snapped) is a ParameterRangeError.
+    values are contiguous.  The checks run at the call, before the first
+    block: an ``n`` that is not an integer in [1, MAX_EVENTS], an event
+    that is not an integer in [0, n), a repeated axis, an event both
+    swept and fixed, or a fixed value outside [0, 1] (dust snapped) is a
+    ParameterRangeError.
     """
     resolution = _grid_resolution(resolution)
-    axes = list(range(n)) if axes is None else list(axes)
+    if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
+        raise ParameterRangeError(
+            f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(n)}"
+        )
+    if not isinstance(fixed, (Mapping, type(None))):
+        raise ParameterRangeError(
+            f"grid fixed values must map events to numbers, got {_shown(fixed)}"
+        )
+    try:
+        axes = list(range(n)) if axes is None else list(axes)
+    except TypeError:  # not iterable
+        raise ParameterRangeError(
+            f"grid axes must be a list of events, got {_shown(axes)}"
+        ) from None
     fixed = dict(fixed or {})
     for k in axes + list(fixed):
         if not _is_int(k) or not 0 <= k < n:
-            raise ParameterRangeError(f"grid event {k!r} is not an integer in [0, {n})")
+            raise ParameterRangeError(f"grid event {_shown(k)} is not an integer in [0, {n})")
     if len(set(axes)) != len(axes):
         raise ParameterRangeError(f"grid axes {axes} sweep an event twice")
     both = sorted(set(axes) & set(fixed))
@@ -226,6 +257,11 @@ def grid_points(
     base[held_at] = clean_unit_interval(
         list(fixed.values()), lambda i: f"fixed value for event {held_at[i]}"
     )
+    return _grid_blocks(n, resolution, axes, base)
+
+
+def _grid_blocks(n: int, resolution: int, axes: list[int], base: np.ndarray) -> Iterator:
+    """``grid_points``' blocks, once its arguments are checked; ``base`` holds the fixed values."""
     axis = np.linspace(0.0, 1.0, resolution)
     held = [k for k in range(n) if k not in axes]
     total = resolution ** len(axes)
@@ -321,11 +357,6 @@ _CHECK_RESOLUTION = 9
 _CHECK_TOL = 1e-8
 
 
-def _tolerance(tol, name: str) -> None:
-    if not 0.0 <= tol < np.inf:
-        raise ParameterRangeError(f"{name} must be a finite number >= 0, got {tol!r}")
-
-
 def verify_one_function(
     k: KopulaFamily, grid_resolution: int = _CHECK_RESOLUTION, tol: float = _CHECK_TOL
 ) -> OneFunctionReport:
@@ -339,7 +370,7 @@ def verify_one_function(
     first NaN found is the worst of every kind, so it fails the report.
     """
     grid_resolution = _grid_resolution(grid_resolution)
-    _tolerance(tol, "tol")
+    tol = _tolerance(tol, "tol")
     n = k.context.n_events
     masks = np.arange(1 << n)
     bits = ((masks >> np.arange(n)[:, None]) & 1).astype(np.float64)  # (n, 2**n): X holds event k
@@ -506,16 +537,14 @@ def convex_combination(
     """Weighted mixture of families over one shared context."""
     if not ks:
         raise ParameterRangeError("need at least one family to combine")
-    if len(ks) != len(weights):
-        raise ParameterRangeError(
-            f"{len(ks)} families but {len(weights)} weights"
-        )
+    w = _read_numbers(weights, "mixture weights", ParameterRangeError)
+    if w.shape != (len(ks),):
+        raise ParameterRangeError(f"{len(ks)} families but {w.size} weights")
     ctx = ks[0].context
     for k in ks[1:]:
         ctx.require_same(k.context, "convex_combination")
-    w = tuple(float(v) for v in weights)
-    if not all(np.isfinite(w)):
-        raise ParameterRangeError(f"mixture weights must be finite, got {list(w)}")
+    if not np.isfinite(w).all():
+        raise ParameterRangeError(f"mixture weights must be finite, got {w.tolist()}")
     w = tuple(clean_unit_interval(w, "mixture weight {}".format).tolist())
     if abs(sum(w) - 1.0) > _UNIT_SNAP:
         raise ParameterRangeError(f"mixture weights sum to {sum(w)!r}, not 1")
@@ -533,12 +562,12 @@ def convex_combination(
 
 
 def constant_weight(value: float) -> WeightFn:
-    return float(clean_unit_interval(float(value), "weight".format, low=-1.0))
+    return float(clean_unit_interval(value, "weight".format, low=-1.0))
 
 
 def sine_diff_weight(scale: float = 15.0) -> WeightFn:
     """Oscillating weight sin(scale * (a - b)) of the sorted folded pair."""
-    s = float(scale)
+    s = _read_number(scale, "sine_diff scale", ParameterRangeError)
     if not np.isfinite(s):
         raise ParameterRangeError(f"sine_diff scale must be finite, got {s!r}")
 
@@ -549,7 +578,7 @@ def sine_diff_weight(scale: float = 15.0) -> WeightFn:
 
 
 def _weight_array(alpha: WeightFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(alpha(a, b), dtype=np.float64), a.shape)
+    arr = np.broadcast_to(np.asarray(alpha(a, b)), a.shape)  # read by the rule below
     at = "weight function at (a, b) = ({:.6g}, {:.6g}): alpha".format
     return clean_unit_interval(arr, lambda i: at(a.flat[i], b.flat[i]), low=-1.0)
 
@@ -748,13 +777,13 @@ def classical_pair_param(family: str, theta: float) -> PairParamFn:
     range is enforced here; the excluded interior points of clayton and
     frank are rejected rather than continued by their product limits.
     """
-    key = family.strip().lower()
+    key = family.strip().lower() if isinstance(family, str) else None
     if key not in _CLASSICAL:
         raise ParameterRangeError(
-            f"unknown classical family {family!r}; choose from {sorted(_CLASSICAL)}"
+            f"unknown classical family {_shown(family)}; choose from {sorted(_CLASSICAL)}"
         )
     make, domain, ok = _CLASSICAL[key]
-    theta = float(theta)
+    theta = _read_number(theta, f"{key}: theta", ParameterRangeError)
     if not np.isfinite(theta) or not ok(theta):
         raise ParameterRangeError(f"{key}: {domain}, got theta = {theta!r}")
     return PairParamFn(key, theta, make(theta))

@@ -69,7 +69,12 @@ from .core import (
     _finish_epd1,
     _halves,
     _is_int,
+    _read_items,
+    _read_number,
+    _read_numbers,
+    _shown,
     _superset_mobius,
+    _tolerance,
     clean_unit_interval,
     mask_bits,
 )
@@ -207,8 +212,8 @@ def conditional_from_pseudo(pseudo: PseudoDistribution) -> Epd1:
 def frame_split(joint: Epd1, frame_event: int) -> tuple[PseudoDistribution, PseudoDistribution]:
     """The two slices of a table along one event: (occurred, did not)."""
     ctx = joint.context
-    if not 0 <= frame_event < ctx.n_events:
-        raise ConditioningError(f"no event with index {frame_event}")
+    if not _is_int(frame_event) or not 0 <= frame_event < ctx.n_events:
+        raise ConditioningError(f"no event with index {_shown(frame_event)}")
     if ctx.n_events == 1:
         raise ConditioningError("splitting needs at least two events")
     sub_ctx = _drop_event_context(ctx, 1 << frame_event)
@@ -229,6 +234,7 @@ def frame_compose(
     masses must sum to 1 (both within SUM_ATOL).
     """
     pseudo_in.context.require_same(pseudo_out.context, "frame_compose")
+    p0 = _read_number(p0, "p0", CompositionError)
     m_in, m_out = pseudo_in.mass, pseudo_out.mass
     if abs(m_in - p0) > SUM_ATOL:
         raise CompositionError(
@@ -275,7 +281,8 @@ class FrechetInterval:
     upper: float
 
     def __post_init__(self) -> None:
-        lo, up = float(self.lower), float(self.upper)
+        lo = _read_number(self.lower, "lower", ParameterRangeError)
+        up = _read_number(self.upper, "upper", ParameterRangeError)
         if lo > up:  # only an inverted window needs the rule
             new_lo, new_up, empty = _inverted_window_rule(lo, up)
             if empty:
@@ -285,10 +292,12 @@ class FrechetInterval:
         object.__setattr__(self, "upper", up)
 
     def contains(self, value: float, tol: float = VALUE_ATOL) -> bool:
+        value = _read_number(value, "value", ParameterRangeError)
+        tol = _tolerance(tol, "tol")
         return self.lower - tol <= value <= self.upper + tol
 
     def clamp(self, value: float) -> float:
-        return min(max(value, self.lower), self.upper)
+        return min(max(_read_number(value, "value", ParameterRangeError), self.lower), self.upper)
 
     @property
     def width(self) -> float:
@@ -310,17 +319,24 @@ def frechet_bounds(
     values in ``known``, keyed by ``target`` with one bit removed:
     below every facet, and above their sum less (size-1) slice masses.
     """
-    bits = list(mask_bits(target))
+    bits = list(mask_bits(target))  # a ContextError for a negative or non-integer target
     if not bits:
         raise ParameterRangeError("target subset must be non-empty")
+    if bits[-1] >= MAX_EVENTS:
+        raise ParameterRangeError(
+            f"target must be a subset of at most {MAX_EVENTS} events, got {_shown(target)}"
+        )
+    frame_prob = _read_number(frame_prob, "frame_prob", ParameterRangeError)
     if len(bits) == 1:
         if p is None:
             raise DependencyError(
                 "single-event bounds need the event's own probability"
             )
-        facets = [p, frame_prob]
+        facets = [_read_number(p, "p", ParameterRangeError), frame_prob]
         mass = 1.0
     else:
+        if not isinstance(known, Mapping):
+            raise ParameterRangeError(f"known facet values must be a mapping, got {_shown(known)}")
         facets = []
         mass = frame_prob
         for b in bits:
@@ -329,7 +345,7 @@ def frechet_bounds(
                 raise DependencyError(
                     f"facet value for submask {key:#b} of target {target:#b} not supplied"
                 )
-            facets.append(float(known[key]))
+            facets.append(_read_number(known[key], f"known[{key:#b}]", ParameterRangeError))
     lower, upper = _frechet_window(sum(facets), min(facets), len(facets), mass)
     if lower != lower:  # a NaN input
         raise ParameterRangeError(
@@ -346,7 +362,9 @@ def _low_masks(n: int) -> np.ndarray:
 
 def _event_count(n) -> int:
     if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
-        raise ParameterRangeError(f"n_events must be an integer in [1, {MAX_EVENTS}], got {n!r}")
+        raise ParameterRangeError(
+            f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(n)}"
+        )
     return int(n)
 
 
@@ -370,19 +388,23 @@ class FrameParams:
         n = _event_count(self.n_events)
         src = self.table
         if isinstance(src, Mapping):
-            try:
-                masks = np.fromiter(src, np.int64, len(src))
-                values = np.fromiter(src.values(), np.float64, len(src))
-            except (TypeError, ValueError, OverflowError):  # e.g. a NaN key, a list value
-                raise ParameterRangeError("parameters must map subset masks to numbers") from None
-            bad = (masks >> n != 0) | np.isnan(values)
-            if bad.any():
-                i = int(np.argmax(bad))
+            masks = list(src)
+            outside = [m for m in masks if not (_is_int(m) and 0 <= m < 1 << n)]
+            if outside:
                 raise ParameterRangeError(
-                    f"parameter {int(masks[i]):#b} = {values[i]}: key outside {n} events, or NaN"
+                    f"parameter keys must be subset masks of {n} events, got {_shown(outside[0])}"
                 )
+            values = _read_items(list(src.values()), lambda i: f"parameter {masks[i]:#b}",
+                                 ParameterRangeError)
+            nan = np.isnan(values)
+            if nan.any():
+                raise ParameterRangeError(f"parameter {masks[int(np.argmax(nan))]:#b} = nan")
             src = np.full(1 << n, np.nan)
             src[masks] = values
+        if not isinstance(src, (list, tuple, np.ndarray)):
+            raise ParameterRangeError(
+                f"parameters must be a mapping or a table of {1 << n} values, got {_shown(src)}"
+            )
         t = clean_unit_interval(src, "intersection for {:#b}".format, missing_ok=True)
         if t.shape != (1 << n,):
             raise ParameterRangeError(f"expected {1 << n} table entries, got shape {t.shape}")
@@ -425,6 +447,8 @@ class FrameParams:
         a1 = P(x and y), a2 = P(x and z), t_in = P(x and y and z),
         t_out = P(not-x and y and z); events ordered x, y, z.
         """
+        t_in = _read_number(t_in, "t_in", ParameterRangeError)  # summed below, so read here
+        t_out = _read_number(t_out, "t_out", ParameterRangeError)
         return cls(3, [np.nan] * 3 + [a1, np.nan, a2, t_in + t_out, t_in])
 
     @classmethod
@@ -458,12 +482,16 @@ class FrameParams:
         dependency error, since the Möbius inverse reads them all.
         """
         n = self.n_events
-        if len(probs) != n:
-            raise ParameterRangeError(f"expected {n} marginals, got {len(probs)}")
+        probs = _read_numbers(probs, "marginal", ParameterRangeError)
+        if probs.shape != (n,):
+            raise ParameterRangeError(f"expected {n} marginals, got shape {probs.shape}")
         t = self.table.copy()
-        t[_low_masks(n)] = (1.0, *probs)
+        t[0] = 1.0
+        t[_low_masks(n)[1:]] = probs
         missing = np.isnan(t)
         if missing.any():
+            if np.isnan(probs).any():
+                raise ParameterRangeError(f"marginals must be numbers, got {probs.tolist()}")
             raise DependencyError(
                 f"no intersection value supplied for subset mask {int(np.argmax(missing)):#b}"
             )
@@ -566,7 +594,7 @@ def _build(
     """
     t = params.complete_table(probs)
     if policy not in ("raise", "clamp"):
-        raise ParameterRangeError(f"policy must be 'raise' or 'clamp', got {policy!r}")
+        raise ParameterRangeError(f"policy must be 'raise' or 'clamp', got {_shown(policy)}")
     cells = _superset_mobius(t, params.n_events) if policy == "raise" else None
     if cells is None or cells.min() < 0.0:
         del cells  # stale once the walk moves t: freed before it runs
@@ -690,6 +718,7 @@ def full_probability_check(
     """
     ctx = joint.context
     ctx.check_mask(frame_events)
+    tol = _tolerance(tol, "tol")
     if frame_events == 0:
         raise ConditioningError("frame subset must contain at least one event")
     frame_bits = list(mask_bits(frame_events))

@@ -17,22 +17,36 @@ from .core import (
     ParameterRangeError,
     _event_sums,
     _is_int,
+    _shown,
     validate_epd1,
 )
 
 __all__ = ["SampleSpec", "sample_epd1", "sample_summary"]
 
 
+# The largest sample count: 2**53, the largest a float64 holds exactly (the
+# frequencies divide by it); numpy refuses an array of 2**60 draws or more.
+_MAX_SAMPLES = 1 << 53
+
+
 @dataclass(frozen=True)
 class SampleSpec:
+    """A sample count in [1, 2**53] and a 64-bit unsigned seed; else a ParameterRangeError."""
+
     n_samples: int
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not _is_int(self.n_samples) or self.n_samples < 1:
-            raise ParameterRangeError(f"n_samples must be >= 1, got {self.n_samples!r}")
+            raise ParameterRangeError(f"n_samples must be >= 1, got {_shown(self.n_samples)}")
+        if self.n_samples > _MAX_SAMPLES:
+            raise ParameterRangeError(
+                f"n_samples must be at most 2**53, got {_shown(self.n_samples)}"
+            )
         if not _is_int(self.seed) or not 0 <= int(self.seed) < 1 << 64:
-            raise ParameterRangeError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ParameterRangeError(
+                f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}"
+            )
         object.__setattr__(self, "n_samples", int(self.n_samples))
         object.__setattr__(self, "seed", int(self.seed))
 

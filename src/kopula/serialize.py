@@ -24,13 +24,16 @@ itself, with no splice, so tables go through ``save_epd``.  The rows of ``kopula
 Family and build configs are flat JSON objects; ``family_from_config``
 and ``build_from_config`` are the single dispatch points, so the CLI
 and tests share one vocabulary.  The typed readers (``_read_number`` and
-the rest) are the one typing rule for every field and grid event name.
+the rest) are the one typing rule for every field and grid event name:
+``core``'s readers, which the library reads its arguments with, bound to
+``ConfigError``.
 See the README for the full schema.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import sys
 from itertools import repeat
@@ -39,6 +42,7 @@ from typing import IO, Iterator, Mapping
 import numpy as np
 
 from ._floattext import join_reprs
+from . import core
 from .core import (
     ContextError,
     DependencyError,
@@ -49,8 +53,10 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
+    _all_numbers,
     _clip,
     _is_int,
+    _is_number,
     clean_unit_interval,
     validate_epd1,
     validate_epd2,
@@ -167,43 +173,13 @@ def dump_json(obj, fp: IO[str] | None = None) -> str:
 
 # ---------------------------------------------------------------------------
 # typed readers: every field of a table or config, and every event a grid
-# names, goes through one of these, so a wrong JSON type is a ConfigError
+# names, goes through one of these, so a wrong JSON type is a ConfigError.
+# The rules are core's, the library's own (a JSON number is a real; true,
+# false and "0.5" are not); here they raise a ConfigError.
 
-
-def _all_numbers(values) -> bool:
-    """Every item an int or a float, not a bool (``np.float64`` counts): one C pass, by type."""
-    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values)))
-
-
-def _is_number(value) -> bool:
-    """The same rule for one value, so the two cannot drift apart."""
-    return _all_numbers((value,))
-
-
-def _read_number(value, what: str) -> float:
-    """A JSON number (not a bool) as a float."""
-    if _is_number(value):
-        with contextlib.suppress(OverflowError):  # an integer beyond float range
-            return float(value)
-    raise ConfigError(f"{what} must be a number, got {value!r}")
-
-
-def _read_int(value, what: str) -> int:
-    """A JSON integer (not a bool, not a float such as 1.5 or 2.0)."""
-    if _is_int(value):
-        return int(value)
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
-def _read_numbers(values, what: str) -> np.ndarray:
-    """A list of JSON numbers as one float64 array, converted in one pass."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list of numbers, got {type(values).__name__}")
-    if _all_numbers(values):
-        with contextlib.suppress(OverflowError):  # an integer beyond float range
-            return np.array(values, dtype=np.float64)
-    # some entry is not a number, or an integer beyond float range: the first one raises
-    return np.array([_read_number(v, f"{what}[{k}]") for k, v in enumerate(values)])
+_read_number = functools.partial(core._read_number, error=ConfigError)
+_read_int = functools.partial(core._read_int, error=ConfigError)
+_read_numbers = functools.partial(core._read_numbers, error=ConfigError)
 
 
 def _read_event(key, ctx: EventSetContext, what: str) -> int:

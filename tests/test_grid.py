@@ -335,7 +335,7 @@ def test_a_grid_that_fails_part_way_keeps_its_exit_code_and_the_rows_written(
 )
 def test_grid_points_checks_its_events_and_fixed_values(axes, fixed, text):
     with pytest.raises(ko.ParameterRangeError) as caught:
-        list(ko.grid_points(2, 3, axes, fixed))
+        ko.grid_points(2, 3, axes, fixed)  # at the call, before any block
     assert str(caught.value) == text
 
 

@@ -99,3 +99,10 @@ class TestSampleSummary:
         spec = ko.SampleSpec(int(rng.integers(1, 5000)), seed=int(rng.integers(0, 1 << 32)))
         expected = np.bincount(ko.sample_epd1(d, spec), minlength=d.context.size)
         assert ko.sample_summary(d, spec)["counts"] == expected.tolist()
+
+
+def test_the_sample_count_is_bounded_at_2_to_the_53():
+    assert ko.SampleSpec(1 << 53).n_samples == 1 << 53  # a spec alone draws nothing
+    for n in [(1 << 53) + 1, 1 << 60, 10**5000]:
+        with pytest.raises(ko.ParameterRangeError, match=r"n_samples must be at most 2\*\*53"):
+            ko.SampleSpec(n)
