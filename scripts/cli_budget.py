@@ -49,11 +49,35 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def child(argv: list) -> None:
-    """Run one command in this process and print its record as JSON."""
+def child_preamble() -> None:
+    """Cap this child's address space at LIMIT_MB and import kopula from ``src``."""
     limit = int(LIMIT_MB * 2**20)
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, str(ROOT / "src"))
+
+
+def spawn(script: str, args: list, row: dict) -> tuple[dict, str]:
+    """Run ``script args`` in a fresh interpreter, one thread per BLAS pool, for at most
+    TIMEOUT_S.  Returns ``row`` with the wall time and the JSON record the child
+    printed last, and the child's stderr; a child that timed out, failed or printed
+    no record gives ``exit`` None and a note instead."""
+    env = {**os.environ, **dict.fromkeys(THREADS, "1")}
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True,
+                              env=env, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {**row, "exit": None, "note": f"stopped after {TIMEOUT_S:g} s"}, ""
+    row = {**row, "wall_s": time.perf_counter() - start}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {**row, "exit": None, "note": proc.stderr.strip()[-300:]}, proc.stderr
+    return {**row, **json.loads(lines[-1])}, proc.stderr
+
+
+def child(argv: list) -> None:
+    """Run one command in this process and print its record as JSON."""
+    child_preamble()
     from kopula import cli
 
     record = {}
@@ -73,21 +97,12 @@ def child(argv: list) -> None:
 
 
 def run_command(n: int, name: str, argv: list, workdir: str) -> dict:
-    env = {**os.environ, **dict.fromkeys(THREADS, "1")}
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", "--", *argv]
-    row = {"n": n, "command": name}
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return {**row, "exit": None, "note": f"stopped after {TIMEOUT_S:g} s"}
-    row["wall_s"] = time.perf_counter() - start
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {**row, "exit": None, "note": proc.stderr.strip()[-300:]}
-    row.update(json.loads(lines[-1]))
+    row, stderr = spawn(os.path.abspath(__file__), ["--child", "--", *argv],
+                        {"n": n, "command": name})
+    if row["exit"] is None:
+        return row
     if row["exit"] != 0:
-        row.update(note=proc.stderr.strip()[-300:], stderr_lines=proc.stderr.count("\n"))
+        row.update(note=stderr.strip()[-300:], stderr_lines=stderr.count("\n"))
     out = os.path.join(workdir, "out.json")
     if os.path.exists(out):
         row["out_mb"] = os.path.getsize(out) / 2**20

@@ -29,9 +29,10 @@ The rows, in order for each table:
 
 Each row gives its exit status (0 when the step returned), wall time and
 peak RSS; ``build`` also gives its total's deviation from 1 and the
-warnings it raised.  Every step's address space is capped as in
-``cli_budget.py``, whose child runs the CLI rows; their record keeps its
-fields, ``within_budget`` against its 5 s and 1 GB included.  A failed
+warnings it raised.  Every step is run by ``cli_budget.py``'s ``spawn``,
+its address space capped by that script's ``child_preamble``; the CLI rows
+run in its child, and their record keeps its fields, ``within_budget``
+against its 5 s and 1 GB included.  A failed
 ``write`` or ``mobius`` skips the rest of its table.  The record of every
 row is printed last, as one JSON line.
 """
@@ -39,14 +40,12 @@ row is printed last, as one JSON line.
 import argparse
 import json
 import os
-import resource
-import subprocess
 import sys
 import tempfile
 import time
 import warnings
 
-from cli_budget import LIMIT_MB, ROOT, THREADS, TIMEOUT_S, rss_mb, run_command
+from cli_budget import child_preamble, rss_mb, run_command, spawn
 
 THETA = 20.0
 SEED = 5
@@ -73,9 +72,7 @@ def second_kind(kind: str, n: int):
 
 def child(step: str, kind: str, n: int, path: str) -> None:
     """Run one library step in this process and print its record as JSON."""
-    limit = int(LIMIT_MB * 2**20)
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    sys.path.insert(0, str(ROOT / "src"))
+    child_preamble()
     import kopula as ko
 
     q, t = second_kind(kind, n)
@@ -101,19 +98,8 @@ def child(step: str, kind: str, n: int, path: str) -> None:
 
 
 def run_step(n: int, kind: str, step: str, path: str) -> dict:
-    env = {**os.environ, **dict.fromkeys(THREADS, "1")}
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", step, kind, str(n), path]
-    row = {"n": n, "table": kind, "step": step}
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return {**row, "exit": None, "note": f"stopped after {TIMEOUT_S:g} s"}
-    row["wall_s"] = time.perf_counter() - start
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {**row, "exit": None, "note": proc.stderr.strip()[-300:]}
-    return {**row, **json.loads(lines[-1])}
+    args = ["--child", step, kind, str(n), path]
+    return spawn(os.path.abspath(__file__), args, {"n": n, "table": kind, "step": step})[0]
 
 
 def describe(row: dict) -> str:

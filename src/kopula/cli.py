@@ -40,7 +40,6 @@ from .core import (
     MarginalSet,
     ParameterRangeError,
     _tolerance,
-    clean_unit_interval,
     epd1_from_epd2,
     epd2_from_epd1,
     marginals,
@@ -49,7 +48,7 @@ from .correlation import params_from_kor3
 from .families import (
     _CHECK_RESOLUTION,
     _CHECK_TOL,
-    _grid_resolution,
+    _grid_args,
     epd_from_kopula,
     epd_rows_from_kopula,
     grid_points,
@@ -76,7 +75,6 @@ from .serialize import (
     _json_chunks,
     _read_event,
     _read_json,
-    _read_number,
     build_from_config,
     epd_to_dict,
     family_from_config,
@@ -116,16 +114,9 @@ class GridSpec:
     fixed: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "resolution", _grid_resolution(self.resolution))
-        if len(set(self.axes)) != len(self.axes):
-            raise ConfigError(f"grid axes {list(self.axes)} sweep an event twice")
-        both = sorted(set(self.axes) & set(self.fixed))
-        if both:
-            raise ConfigError(f"events {both} are both swept and fixed")
-        name = "fixed value for event {}".format
-        fixed = {k: _read_number(v, name(k)) for k, v in self.fixed.items()}
-        values = clean_unit_interval(list(fixed.values()), lambda i: name(list(fixed)[i]))
-        object.__setattr__(self, "fixed", dict(zip(fixed, values.tolist())))
+        resolution, fixed = _grid_args(self.resolution, self.axes, self.fixed)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "fixed", fixed)
 
 
 def _grid_spec(cfg: Mapping, ctx: EventSetContext, resolution: int) -> GridSpec:

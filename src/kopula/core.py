@@ -110,7 +110,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -247,6 +247,13 @@ def _read_int(value, what: str, error: type) -> int:
     raise error(f"{what} must be an integer, got {_shown(value)}")
 
 
+def _event_count(n, error: type) -> int:
+    """An event count: a count (see ``_is_int``) in [1, MAX_EVENTS], as an int; else ``error``."""
+    if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
+        raise error(f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(n)}")
+    return int(n)
+
+
 def _read_items(values: list | tuple | np.ndarray, name: Callable[[int], str], error: type,
                 copy: bool = True) -> np.ndarray:
     """A float64 array of a list, tuple or array of reals, item k named ``name(k)``.
@@ -262,7 +269,7 @@ def _read_items(values: list | tuple | np.ndarray, name: Callable[[int], str], e
         values = values.ravel().tolist()
     if _all_numbers(values):
         with contextlib.suppress(OverflowError):  # an integer beyond float range
-            return np.array(values, dtype=np.float64)
+            return np.fromiter(values, np.float64, len(values))  # flat: no shape to discover
     # some item is not a real, or an integer beyond float range: the first one raises
     return np.array([_read_number(v, name(k), error) for k, v in enumerate(values)])
 
@@ -304,11 +311,7 @@ class EventSetContext:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_events) or not 1 <= self.n_events <= MAX_EVENTS:
-            raise ContextError(
-                f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(self.n_events)}"
-            )
-        object.__setattr__(self, "n_events", int(self.n_events))
+        object.__setattr__(self, "n_events", _event_count(self.n_events, ContextError))
         try:
             labels = tuple(self.labels)
         except TypeError:  # not iterable

@@ -70,12 +70,12 @@ from .core import (
     Epd1,
     EventSetContext,
     InfeasibleParameterError,
-    MAX_EVENTS,
     MarginalSet,
     ParameterRangeError,
     SUM_ATOL,
     VALUE_ATOL,
     _UNIT_SNAP,
+    _event_count,
     _finish_epd1,
     _is_int,
     _read_number,
@@ -137,10 +137,26 @@ class KopulaFamily:
         return np.asarray(
             self.base(
                 _read_numbers(w, "w", ParameterRangeError, copy=False),
-                np.asarray(masks, dtype=np.int64),
+                _read_masks(masks, self.context.n_events),
             ),
             dtype=np.float64,
         )
+
+
+def _read_masks(masks, n: int) -> np.ndarray:
+    """Subset masks of ``n`` events as int64: an integer array (not bool), a count, or a
+    list or tuple of counts, each in [0, 2**n); else a ParameterRangeError.  An int64
+    array comes back as it is."""
+    if isinstance(masks, np.ndarray) and masks.dtype.kind in "iu":
+        if not masks.size or masks.min() >= 0 and masks.max() < 1 << n:
+            return masks.astype(np.int64, copy=False)
+        masks = masks.ravel().tolist()  # the first mask out of range raises below
+    elif not (_is_int(masks) or isinstance(masks, (list, tuple))):
+        raise ParameterRangeError(f"subset masks must be integers, got {_shown(masks)}")
+    for m in [masks] if _is_int(masks) else masks:
+        if not (_is_int(m) and 0 <= m < 1 << n):
+            raise ParameterRangeError(f"subset mask {_shown(m)} is not an integer in [0, {1 << n})")
+    return np.asarray(masks, dtype=np.int64)
 
 
 def epd_from_kopula(k: KopulaFamily, p: MarginalSet) -> Epd1:
@@ -208,6 +224,27 @@ def _grid_resolution(res) -> int:
     return int(res)
 
 
+def _grid_args(resolution, axes: Sequence, fixed) -> tuple[int, dict]:
+    """The grid rules, for ``grid_points`` and the command line's ``GridSpec``: the
+    resolution (``_grid_resolution``), a mapping of fixed values, no axis twice, no
+    event both swept and fixed, and each fixed value in [0, 1] with its dust snapped.
+    Returns the resolution and the fixed values as floats; a ParameterRangeError else.
+    """
+    resolution = _grid_resolution(resolution)
+    if not isinstance(fixed, Mapping):
+        raise ParameterRangeError(
+            f"grid fixed values must map events to numbers, got {_shown(fixed)}"
+        )
+    if len(set(axes)) != len(axes):
+        raise ParameterRangeError(f"grid axes {list(axes)} sweep an event twice")
+    both = sorted(set(axes) & set(fixed))
+    if both:
+        raise ParameterRangeError(f"events {both} are both swept and fixed")
+    held = list(fixed)
+    values = clean_unit_interval(list(fixed.values()), lambda i: f"fixed value for event {held[i]}")
+    return resolution, dict(zip(held, values.tolist()))
+
+
 def grid_points(
     n: int,
     resolution: int,
@@ -224,39 +261,23 @@ def grid_points(
     blocks stay small.  Each block is column-major: a coordinate's
     values are contiguous.  The checks run at the call, before the first
     block: an ``n`` that is not an integer in [1, MAX_EVENTS], an event
-    that is not an integer in [0, n), a repeated axis, an event both
-    swept and fixed, or a fixed value outside [0, 1] (dust snapped) is a
-    ParameterRangeError.
+    that is not an integer in [0, n), or a break of one of the rules of
+    ``_grid_args`` is a ParameterRangeError.
     """
-    resolution = _grid_resolution(resolution)
-    if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
-        raise ParameterRangeError(
-            f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(n)}"
-        )
-    if not isinstance(fixed, (Mapping, type(None))):
-        raise ParameterRangeError(
-            f"grid fixed values must map events to numbers, got {_shown(fixed)}"
-        )
+    n = _event_count(n, ParameterRangeError)
     try:
         axes = list(range(n)) if axes is None else list(axes)
     except TypeError:  # not iterable
         raise ParameterRangeError(
             f"grid axes must be a list of events, got {_shown(axes)}"
         ) from None
-    fixed = dict(fixed or {})
-    for k in axes + list(fixed):
+    fixed = {} if fixed is None else fixed
+    for k in axes + list(fixed if isinstance(fixed, Mapping) else ()):  # _grid_args checks the rest
         if not _is_int(k) or not 0 <= k < n:
             raise ParameterRangeError(f"grid event {_shown(k)} is not an integer in [0, {n})")
-    if len(set(axes)) != len(axes):
-        raise ParameterRangeError(f"grid axes {axes} sweep an event twice")
-    both = sorted(set(axes) & set(fixed))
-    if both:
-        raise ParameterRangeError(f"events {both} are both swept and fixed")
-    held_at = list(fixed)
+    resolution, fixed = _grid_args(resolution, axes, fixed)
     base = np.zeros(n)
-    base[held_at] = clean_unit_interval(
-        list(fixed.values()), lambda i: f"fixed value for event {held_at[i]}"
-    )
+    base[list(fixed)] = list(fixed.values())
     return _grid_blocks(n, resolution, axes, base)
 
 

@@ -66,6 +66,7 @@ from .core import (
     VALUE_ATOL,
     _MASS_EPS,
     _Table,
+    _event_count,
     _finish_epd1,
     _halves,
     _is_int,
@@ -283,7 +284,9 @@ class FrechetInterval:
     def __post_init__(self) -> None:
         lo = _read_number(self.lower, "lower", ParameterRangeError)
         up = _read_number(self.upper, "upper", ParameterRangeError)
-        if lo > up:  # only an inverted window needs the rule
+        if not lo <= up:  # only an inverted window, or a NaN end, needs the rules
+            if lo != lo or up != up:
+                raise ParameterRangeError(f"NaN end in the interval [{lo!r}, {up!r}]")
             new_lo, new_up, empty = _inverted_window_rule(lo, up)
             if empty:
                 raise InfeasibleParameterError(f"empty feasibility interval [{lo!r}, {up!r}]")
@@ -360,14 +363,6 @@ def _low_masks(n: int) -> np.ndarray:
     return np.concatenate(([0], 1 << np.arange(n)))
 
 
-def _event_count(n) -> int:
-    if not _is_int(n) or not 1 <= n <= MAX_EVENTS:
-        raise ParameterRangeError(
-            f"n_events must be an integer in [1, {MAX_EVENTS}], got {_shown(n)}"
-        )
-    return int(n)
-
-
 @dataclass(frozen=True, eq=False)
 class FrameParams:
     """Intersection probabilities for every subset of size two or more.
@@ -385,7 +380,7 @@ class FrameParams:
     table: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = _event_count(self.n_events)
+        n = _event_count(self.n_events, ParameterRangeError)
         src = self.table
         if isinstance(src, Mapping):
             masks = list(src)
@@ -431,7 +426,7 @@ class FrameParams:
         times p_k, so each product takes its factors in ascending order.
         """
         p = clean_unit_interval(probs, "probs[{}]".format)
-        n = _event_count(p.size)
+        n = _event_count(p.size, ParameterRangeError)
         t = np.ones(1 << n)
         for k in range(n):
             t[1 << k : 2 << k] = t[: 1 << k] * p[k]

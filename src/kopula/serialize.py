@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import sys
 from itertools import repeat
 from typing import IO, Iterator, Mapping
 
@@ -53,7 +52,6 @@ from .core import (
     KopulaError,
     MarginalSet,
     ParameterRangeError,
-    _all_numbers,
     _clip,
     _is_int,
     _is_number,
@@ -415,16 +413,15 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
     The caller-order table is transposed into the frame build's order.
     """
     ctx = p.context
-    values = None
-    if _all_numbers(named.values()):
-        with contextlib.suppress(OverflowError):  # an integer beyond float range
-            values = np.fromiter(named.values(), np.float64, len(named))
-    if values is None or not np.isfinite(values).all():
-        label = next(k for k, v in named.items()
-                     if not _is_number(v) or not abs(v) <= sys.float_info.max)
-        raise ConfigError(
-            f"frame_params[{label!r}] must be a finite number, got {named[label]!r}"
-        )
+
+    def name(i: int) -> str:
+        return f"frame_params[{list(named)[i]!r}]"
+
+    values = core._read_items(list(named.values()), name, ConfigError)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ConfigError(f"{name(k)} must be a finite number, got {float(values[k])!r}")
     masks = None
     t = _canonical_table(ctx, named)
     if t is None:
@@ -436,7 +433,7 @@ def _frame_params_from_config(p: MarginalSet, named: Mapping) -> FrameParams:
             )
         t = np.full(ctx.size, np.nan)
         t[masks] = values
-    clean_unit_interval(values, lambda i: f"frame_params[{list(named)[i]!r}]")  # range check only
+    clean_unit_interval(values, name)  # range check only
     low = _low_masks(ctx.n_events)
     stray = ~np.isnan(t[low])
     if stray.any():

@@ -155,6 +155,46 @@ def test_a_weight_function_that_returns_nan_is_out_of_range(make):
 
 
 # ---------------------------------------------------------------------------
+# the event count and the grid arguments: one rule each, one text at every call
+
+
+@pytest.mark.parametrize("n", [0, 25, True, 2.0, 10**400], ids=["0", "25", "True", "2.0", "huge"])
+def test_each_call_reads_an_event_count_by_one_rule(n):
+    text = f"n_events must be an integer in [1, 24], got {n!r}"
+    calls = [lambda: ko.FrameParams(n), lambda: ko.grid_points(n, 3)]
+    if n in (0, 25):  # independence counts its probabilities
+        calls.append(lambda: ko.FrameParams.independence([0.5] * n))
+    with pytest.raises(ko.ContextError) as caught:
+        ko.EventSetContext(n)
+    assert str(caught.value) == text
+    for call in calls:
+        with pytest.raises(ko.ParameterRangeError) as caught:
+            call()
+        assert str(caught.value) == text
+
+
+@pytest.mark.parametrize(
+    "resolution, axes, fixed, text",
+    [
+        (3, [0, 0], {}, "grid axes [0, 0] sweep an event twice"),
+        (3, [0], {0: 0.5}, "events [0] are both swept and fixed"),
+        (3, [0], {1: 1.5}, "fixed value for event 1 = 1.5 outside [0, 1]"),
+        (3, [0], {1: True}, "fixed value for event 1 must be a number, got True"),
+        (1, [0], {1: 0.5}, "grid resolution must be an integer in [2, 2**20], got 1"),
+    ],
+    ids=["repeated_axis", "swept_and_fixed", "fixed_1.5", "fixed_true", "resolution_1"],
+)
+def test_grid_spec_and_grid_points_read_their_arguments_by_one_rule(resolution, axes, fixed,
+                                                                    text):
+    with pytest.raises(ko.ParameterRangeError) as caught:
+        GridSpec(resolution, tuple(axes), fixed)
+    assert str(caught.value) == text
+    with pytest.raises(ko.ParameterRangeError) as caught:
+        ko.grid_points(2, resolution, axes, fixed)
+    assert str(caught.value) == text
+
+
+# ---------------------------------------------------------------------------
 # the command line
 
 
@@ -180,6 +220,21 @@ def test_grid_snaps_a_fixed_value_of_dust_past_one(tmp_path, capsys):
                 "--resolution", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["1.0"] * 3
+
+
+@pytest.mark.parametrize(
+    "axes, fixed, text",
+    [
+        ([0, 0], {}, "grid axes [0, 0] sweep an event twice"),
+        ([0], {"0": 0.5}, "events [0] are both swept and fixed"),
+        ([0], {"1": True}, "fixed value for event 1 must be a number, got True"),
+    ],
+    ids=["repeated_axis", "swept_and_fixed", "fixed_true"],
+)
+def test_grid_reports_a_grid_fault_in_one_line_with_exit_1(tmp_path, capsys, axes, fixed, text):
+    cfg = {"family": "independent", "n": 2, "axes": axes, "fixed": fixed}
+    assert run(["grid", "--config", write_json(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr() == ("", text + "\n")
 
 
 def test_build_with_a_nan_weight_function_exits_1(tmp_path, capsys, monkeypatch):

@@ -283,6 +283,54 @@ def test_each_probed_call_raises_a_typed_error(name):
     assert isinstance(caught.value, ValueError)
 
 
+# a family's subset masks are counts in [0, 2**n): floats were truncated and
+# strings ended in numpy's ValueError; an interval with a NaN end held no value
+@pytest.mark.parametrize(
+    "masks, text",
+    [
+        (np.array([0.0, 1.5]), "subset masks must be integers, got array("),
+        ([0, 1.0], "subset mask 1.0 is not an integer in [0, 4)"),
+        (2.0, "subset masks must be integers, got 2.0"),
+        ("ab", "subset masks must be integers, got 'ab'"),
+        (["a"], "subset mask 'a' is not an integer in [0, 4)"),
+        (np.array([True, False]), "subset masks must be integers, got array("),
+        ([True], "subset mask True is not an integer in [0, 4)"),
+        (True, "subset masks must be integers, got True"),
+        (-1, "subset mask -1 is not an integer in [0, 4)"),
+        ([0, 4], "subset mask 4 is not an integer in [0, 4)"),
+        (np.arange(-1, 3), "subset mask -1 is not an integer in [0, 4)"),
+        (np.arange(5, dtype=np.uint8), "subset mask 4 is not an integer in [0, 4)"),
+    ],
+    ids=["float_array", "float_item", "float", "string", "string_item", "bool_array",
+         "bool_item", "bool", "minus_one", "four", "minus_one_in_array", "four_in_array"],
+)
+def test_a_family_reads_its_masks_by_the_count_rule(masks, text):
+    with pytest.raises(ko.ParameterRangeError) as caught:
+        UPPER([0.3, 0.4], masks)
+    assert str(caught.value).startswith(text)
+
+
+@pytest.mark.parametrize("masks", [3, np.int64(3), [0, 3], (3,), np.array([[1], [3]], np.uint8)])
+def test_a_family_takes_masks_that_are_counts(masks):
+    want = UPPER([0.3, 0.4], np.asarray(masks, dtype=np.int64))
+    assert UPPER([0.3, 0.4], masks).tolist() == want.tolist()
+
+
+def test_a_family_takes_the_library_s_mask_column_without_a_copy():
+    seen = []
+    fam = ko.KopulaFamily(CTX2, lambda w, m: seen.append(m) or np.zeros(m.shape), "probe")
+    masks = np.arange(4)
+    fam([0.3, 0.4], masks[:, None])
+    fam([0.3, 0.4], masks)
+    assert seen[0].base is masks and seen[1] is masks
+
+
+@pytest.mark.parametrize("ends", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_an_interval_with_a_nan_end_is_a_range_error(ends):
+    with pytest.raises(ko.ParameterRangeError, match="NaN end in the interval"):
+        ko.FrechetInterval(*ends)
+
+
 # ---------------------------------------------------------------------------
 # the command line's numeric flags: each value is rejected, or cheap to run
 
